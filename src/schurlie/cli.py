@@ -156,7 +156,6 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--generators", choices=["mtilde", "gamma"], default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     args = parser.parse_args(argv)
@@ -292,16 +291,18 @@ def _dispatch(args):
         return 0
 
     if args.command == "verify":
+        from inspect import signature
         fn = SUITES[args.suite]
-        kwargs = {"seed": args.seed, "jobs": args.jobs}
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.max_degree is not None and args.suite not in ("mccool", "johnson", "pairs"):
-            kwargs["max_degree"] = args.max_degree
-        if args.depth is not None and args.suite == "pairs":
-            kwargs["depth"] = args.depth
-        if args.generators is not None and args.suite == "generation":
-            kwargs["generators"] = args.generators
+        accepted = signature(fn).parameters
+        kwargs = {"seed": args.seed}
+        for name in ("n", "max_degree", "depth", "generators"):
+            value = getattr(args, name)
+            if value is None:
+                continue
+            if name not in accepted:
+                flag = "--" + name.replace("_", "-")
+                raise SchurlieError(f"suite {args.suite} takes no {flag}")
+            kwargs[name] = value
         started = time.monotonic()
         try:
             report = fn(**kwargs)

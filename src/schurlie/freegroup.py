@@ -20,8 +20,7 @@ from functools import lru_cache
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NotInFiltration, ResourceGuardExceeded)
-from .derivations import (Derivation, commutator_derivation,
-                          conjugating_derivation, der_bracket)
+from .derivations import Derivation, conjugating_derivation, der_bracket
 from .freelie import decompose
 from .words import TensorElement
 
@@ -345,14 +344,6 @@ def johnson_image(alpha, m, guard=MAGNUS_TRUNCATION_GUARD):
                     f"x_{i} moves in degree {d}; automorphism is not at depth {m}")
         images.append(decompose(n, series.homogeneous(m + 1)))
     return Derivation(n, m + 1, images)
-
-
-def tilde_of(kind, n, indices):
-    if kind == "conjugating":
-        return conjugating_derivation(n, *indices)
-    if kind == "commutator":
-        return commutator_derivation(n, *indices)
-    raise InvalidArgument(f"unknown generator kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -160,68 +160,17 @@ class IntegerLattice:
                 and all(r[p] == 1 for r, p in zip(self.rows, self._pivot_cols)))
 
     def elementary_divisors(self):
-        return smith_normal_form(self.rows)
+        return snf_with_transforms(self.rows)[0]
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def smith_normal_form(rows):
-    """Nonzero diagonal of the Smith form: positive d1 | d2 | ... | dr."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    divisors = []
-    top = 0
-    while top < min(nrows, ncols):
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        m[top], m[i] = m[i], m[top]
-        for row in m:
-            row[top], row[j] = row[j], row[top]
-        while True:
-            again = False
-            for i in range(top + 1, nrows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        again = True
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for row in m:
-                        row[j] -= q * row[top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        again = True
-            if not again:
-                break
-        d = abs(m[top][top])
-        stray = next(((i, j) for i in range(top + 1, nrows)
-                      for j in range(top + 1, ncols) if m[i][j] % d), None)
-        if stray is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[stray[0]])]
-            continue  # redo this corner; the gcd strictly divides d
-        divisors.append(d)
-        top += 1
-    for prev, nxt in zip(divisors, divisors[1:]):
-        if nxt % prev:
-            raise InternalInvariantError("Smith divisors fail the chain condition")
-    return divisors
-
-
 def snf_with_transforms(rows):
-    """(diag, U, V) with U * rows * V diagonal, U and V unimodular."""
+    """(diag, U, V) with U * rows * V diagonal, U and V unimodular.
+
+    diag is the nonzero part of the Smith form: positive d1 | d2 | ... | dr.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -288,6 +237,9 @@ def snf_with_transforms(rows):
             continue
         top += 1
     diag = [m[k][k] for k in range(min(nrows, ncols)) if m[k][k]]
+    for prev, nxt in zip(diag, diag[1:]):
+        if nxt % prev:
+            raise InternalInvariantError("Smith divisors fail the chain condition")
     return diag, U, V
 
 

@@ -17,8 +17,8 @@ from itertools import permutations, product
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
 from .freelie import LieElement, decompose, embed
-from .words import (TensorElement, act, all_perms, perm_inverse,
-                    perm_sorting_onto, sorted_rep, sorted_words,
+from .words import (TensorElement, _equal_letter_runs, act, all_perms,
+                    perm_inverse, perm_sorting_onto, sorted_rep, sorted_words,
                     stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest q for which Sigma_q is enumerated
@@ -26,14 +26,7 @@ EQUIVARIANCE_GUARD = 8  # largest q for which Sigma_q is enumerated
 
 def orbit_sum(u, key):
     """Sum of the stabilizer orbit of key under the stabilizer of sorted u."""
-    blocks = []
-    i = 0
-    while i < len(u):
-        j = i
-        while j < len(u) and u[j] == u[i]:
-            j += 1
-        blocks.append(key[i:j])
-        i = j
+    blocks = [key[i:j] for i, j in _equal_letter_runs(u)]
     coeffs = {}
     for pieces in product(*(set(permutations(b)) for b in blocks)):
         w = sum(pieces, ())

@@ -7,7 +7,6 @@ is drawn from a seeded generator recorded in the parameters.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .derivations import (apply_derivation, commutator_derivation,
@@ -44,20 +43,13 @@ def make_report(suite, parameters, instances):
     }
 
 
-def _pmap(fn, items, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _word_str(w):
     return ".".join(map(str, w))
 
 
 # ---------------------------------------------------------------------------
 
-def run_equivariance(n=3, max_degree=4, seed=0, jobs=1):
+def run_equivariance(n=3, max_degree=4, seed=0):
     """Every element built from orbit data commutes with all place
     permutations, checked exhaustively per degree."""
     def check(task):
@@ -72,12 +64,12 @@ def run_equivariance(n=3, max_degree=4, seed=0, jobs=1):
     tasks = [(q, idx, f)
              for q in range(0, max_degree + 1)
              for idx, f in enumerate(basis(n, q))]
-    instances = _pmap(check, tasks, jobs)
+    instances = [check(task) for task in tasks]
     return make_report("equivariance", {"n": n, "max_degree": max_degree, "seed": seed},
                        instances)
 
 
-def run_dimension(n=3, max_degree=4, seed=0, jobs=1):
+def run_dimension(n=3, max_degree=4, seed=0):
     """The orbit-data basis has the same size as the brute-force solution
     space of the commutation constraints, every brute-force solution
     decomposes (uniquely, by sorted-column read-off) in the basis, and both
@@ -97,12 +89,12 @@ def run_dimension(n=3, max_degree=4, seed=0, jobs=1):
                      and all_decompose),
         }
 
-    instances = _pmap(check, range(0, max_degree + 1), jobs)
+    instances = [check(q) for q in range(0, max_degree + 1)]
     return make_report("dimension", {"n": n, "max_degree": max_degree, "seed": seed},
                        instances)
 
 
-def run_spechtwever(n=3, max_degree=5, seed=0, jobs=1):
+def run_spechtwever(n=3, max_degree=5, seed=0):
     """The left-normed bracketing map b satisfies b(b(w)) = p b(w) on every
     degree-p basis word."""
     def check(p):
@@ -115,7 +107,7 @@ def run_spechtwever(n=3, max_degree=5, seed=0, jobs=1):
                 break
         return {"key": f"p{p}", "p": p, "pass": ok}
 
-    instances = _pmap(check, range(1, max_degree + 1), jobs)
+    instances = [check(p) for p in range(1, max_degree + 1)]
     return make_report("spechtwever", {"n": n, "max_degree": max_degree, "seed": seed},
                        instances)
 
@@ -145,7 +137,7 @@ def _random_composition(rng, total, max_parts=3):
     return tuple(parts)
 
 
-def run_star_laws(n=3, max_degree=5, seed=0, jobs=1, trials=100):
+def run_star_laws(n=3, max_degree=5, seed=0, trials=100):
     """Transversal independence, associativity, commutativity and
     distributivity of the cross-degree product, on random sparse elements."""
     rng = random.Random(seed)
@@ -222,7 +214,7 @@ def run_star_laws(n=3, max_degree=5, seed=0, jobs=1, trials=100):
                        instances)
 
 
-def run_operad(n=3, max_degree=4, seed=0, jobs=1, trials=20):
+def run_operad(n=3, max_degree=4, seed=0, trials=20):
     """Operad axioms for the arity-graded family P(m) of degree-(m-1)
     elements: the unit laws exactly, plus logged coherence instances."""
     rng = random.Random(seed)
@@ -259,7 +251,7 @@ def run_operad(n=3, max_degree=4, seed=0, jobs=1, trials=20):
                        instances)
 
 
-def run_prop422(n=3, max_degree=4, seed=0, jobs=1):
+def run_prop422(n=3, max_degree=4, seed=0):
     """The commutation identity between a conjugating derivation and a
     one-generator derivation: [chi_ij, f_{j,u}] = -f_{i,[x_i,u]} + f_{j,chi_ij(u)},
     exhaustively over index pairs and basis monomials of degree <= max_degree."""
@@ -280,12 +272,12 @@ def run_prop422(n=3, max_degree=4, seed=0, jobs=1):
              for i in range(1, n + 1) for j in range(1, n + 1) if i != j
              for k in range(1, max_degree + 1)
              for tree in lyndon_basis(n, k)]
-    instances = _pmap(check, tasks, jobs)
+    instances = [check(task) for task in tasks]
     return make_report("prop422", {"n": n, "max_degree": max_degree, "seed": seed},
                        instances)
 
 
-def run_lemma425(n=3, max_degree=3, seed=0, jobs=1):
+def run_lemma425(n=3, max_degree=3, seed=0):
     """The annihilate-and-fix solver succeeds on every basis monomial of
     degree 2..max_degree, its two defining equations verify exactly, and
     acting with the solution isolates the expected generator derivation."""
@@ -310,12 +302,12 @@ def run_lemma425(n=3, max_degree=3, seed=0, jobs=1):
              for i in range(1, n + 1) for j in range(1, n + 1) if i != j
              for k in range(2, max_degree + 1)
              for tree in lyndon_basis(n, k)]
-    instances = _pmap(check, tasks, jobs)
+    instances = [check(task) for task in tasks]
     return make_report("lemma425", {"n": n, "max_degree": max_degree, "seed": seed},
                        instances)
 
 
-def run_generation(n=3, max_degree=4, seed=0, jobs=1, generators="mtilde"):
+def run_generation(n=3, max_degree=4, seed=0, generators="mtilde"):
     """Closure from the quadratic generators under brackets and the
     endomorphism action reaches the full derivation rank with trivial
     elementary divisors, degree by degree."""
@@ -339,7 +331,7 @@ def run_generation(n=3, max_degree=4, seed=0, jobs=1, generators="mtilde"):
                        instances)
 
 
-def run_mccool(n=3, seed=0, jobs=1):
+def run_mccool(n=3, seed=0):
     """All relation instances of the basis-conjugating presentation, plus the
     record that the opposite composition order breaks the three-term family."""
     result = verify_mccool(n)
@@ -365,7 +357,7 @@ def run_mccool(n=3, seed=0, jobs=1):
     return make_report("mccool", {"n": n, "seed": seed}, instances)
 
 
-def run_johnson(n=3, seed=0, jobs=1):
+def run_johnson(n=3, seed=0):
     """Depth-1 images of the named automorphisms recover the matching
     quadratic derivations, and depth-2 images of commutators match
     derivation brackets, across all conjugating pairs."""
@@ -406,7 +398,7 @@ def run_johnson(n=3, seed=0, jobs=1):
     return make_report("johnson", {"n": n, "seed": seed}, instances)
 
 
-def run_pairs(n=3, depth=3, seed=0, jobs=1):
+def run_pairs(n=3, depth=3, seed=0):
     """Classification of every unordered pair of distinct conjugating
     automorphisms: abelian pairs must have an identically trivial commutator,
     the rest must produce nonzero matching certificates through the depth."""

@@ -14,7 +14,8 @@ where ``perm_compose(t, s)`` is ordinary function composition, s applied
 first.  All values here are immutable tuples or carry only private state.
 """
 
-from itertools import permutations, product, combinations_with_replacement
+from itertools import (combinations_with_replacement, groupby, permutations,
+                       product)
 
 from .errors import DimensionMismatch, InvalidArgument
 
@@ -180,18 +181,22 @@ def stabilizer_orbit_key(u, w):
     return letter_class_key(u, w)
 
 
+def _equal_letter_runs(u):
+    """(start, stop) slice bounds of the maximal runs of equal letters in u."""
+    runs = []
+    start = 0
+    for _, run in groupby(u):
+        stop = start + sum(1 for _ in run)
+        runs.append((start, stop))
+        start = stop
+    return runs
+
+
 def young_subgroup_of(u):
     """The stabilizer of a weakly increasing word u, as one-line tuples."""
     if tuple(sorted(u)) != tuple(u):
         raise InvalidArgument(f"stabilizer enumeration needs a sorted word, got {u!r}")
-    blocks = []
-    i = 0
-    while i < len(u):
-        j = i
-        while j < len(u) and u[j] == u[i]:
-            j += 1
-        blocks.append(range(i + 1, j + 1))
-        i = j
+    blocks = [range(i + 1, j + 1) for i, j in _equal_letter_runs(u)]
     perms = []
     for pieces in product(*(permutations(b) for b in blocks)):
         images = [0] * len(u)

@@ -151,12 +151,16 @@ def test_cli_verify_seeded_star_laws(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_cli_verify_jobs_matches_serial(capsys):
-    base = ["verify", "spechtwever", "--n", "2", "--max-degree", "4", "--json"]
-    assert main(base) == 0
-    serial = capsys.readouterr().out
-    assert main(base + ["--jobs", "4"]) == 0
-    assert capsys.readouterr().out == serial
+@pytest.mark.parametrize("argv, flag", [
+    (["mccool", "--n", "3", "--max-degree", "4"], "--max-degree"),
+    (["equivariance", "--n", "2", "--depth", "2"], "--depth"),
+    (["pairs", "--n", "3", "--generators", "gamma"], "--generators"),
+])
+def test_cli_verify_rejects_flag_suite_does_not_take(capsys, argv, flag):
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: suite {argv[0]} takes no {flag}\n"
 
 
 def test_cli_schur_roundtrip(capsys):

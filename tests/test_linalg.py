@@ -1,11 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from schurlie.linalg import (IntegerLattice, nullspace, rank, rref,
-                             smith_normal_form, snf_with_transforms, solve,
-                             solve_integer)
+                             snf_with_transforms, solve, solve_integer)
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(len(rows)):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * rows[0][j] * _det(minor)
+    return total
 
 
 def test_rref_and_rank():
@@ -36,13 +47,13 @@ def test_solve_rational():
 
 def test_smith_normal_form_classic():
     rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    assert smith_normal_form(rows) == [2, 2, 156]
+    assert snf_with_transforms(rows)[0] == [2, 2, 156]
 
 
 def test_smith_chain_and_rank_deficient():
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[2, 4], [1, 2]]) == [1]
-    assert smith_normal_form([[0, 0], [0, 0]]) == []
+    assert snf_with_transforms([[2, 0], [0, 3]])[0] == [1, 6]
+    assert snf_with_transforms([[2, 4], [1, 2]])[0] == [1]
+    assert snf_with_transforms([[0, 0], [0, 0]])[0] == []
 
 
 def test_snf_with_transforms_reconstructs():
@@ -63,6 +74,7 @@ def test_snf_with_transforms_reconstructs():
                 assert D[i][j] == expected
         for prev, nxt in zip(diag, diag[1:]):
             assert nxt % prev == 0
+        assert abs(_det(U)) == 1 and abs(_det(V)) == 1
 
 
 def test_solve_integer():
@@ -87,6 +99,35 @@ def test_solve_integer_random_consistency():
         sol = solve_integer(A, b)
         assert sol is not None
         assert all(sum(A[i][j] * sol[j] for j in range(k)) == b[i] for i in range(m))
+
+
+def test_solve_integer_matches_box_enumeration():
+    # differential oracle: every integer point of a small box, on random
+    # systems whose right-hand side may or may not be reachable
+    rng = random.Random(6)
+    box = range(-3, 4)
+    outcomes = set()
+    for _ in range(150):
+        m, k = rng.randint(1, 3), rng.randint(1, 3)
+        scale = rng.choice([1, 2, 3])
+        A = [[scale * rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        if rng.random() < 0.5:
+            x = [rng.choice(box) for _ in range(k)]
+            b = [sum(a * xj for a, xj in zip(row, x)) for row in A]
+        else:
+            b = [rng.randint(-8, 8) for _ in range(m)]
+        in_box = next((x for x in product(box, repeat=k)
+                       if all(sum(a * xj for a, xj in zip(row, x)) == bi
+                              for row, bi in zip(A, b))), None)
+        sol = solve_integer(A, b)
+        if sol is None:
+            assert in_box is None, (A, b, in_box)
+        else:
+            assert all(sum(a * xj for a, xj in zip(row, sol)) == bi
+                       for row, bi in zip(A, b)), (A, b, sol)
+        outcomes.add((sol is None, in_box is None))
+    # the draw must reach both solvable and unsolvable systems
+    assert {(True, True), (False, False)} <= outcomes
 
 
 def test_lattice_rank_and_containment():
@@ -126,7 +167,7 @@ def test_lattice_matches_smith_on_random_input():
         lat = IntegerLattice(dim)
         for v in vecs:
             lat.add(v)
-        assert lat.elementary_divisors() == smith_normal_form(vecs)
+        assert lat.elementary_divisors() == snf_with_transforms(vecs)[0]
         assert lat.rank() == rank(vecs)
         for v in vecs:
             assert lat.contains(v)
@@ -144,15 +185,6 @@ def _minor_gcd_divisors(A):
     from itertools import combinations
     from math import gcd
 
-    def det(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        total = 0
-        for j in range(len(rows)):
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * det(minor)
-        return total
-
     m, k = len(A), len(A[0])
     divisors = []
     prev = 1
@@ -161,7 +193,7 @@ def _minor_gcd_divisors(A):
         for rows_idx in combinations(range(m), size):
             for cols_idx in combinations(range(k), size):
                 sub = [[A[i][j] for j in cols_idx] for i in rows_idx]
-                g = gcd(g, det(sub))
+                g = gcd(g, _det(sub))
         if g == 0:
             break
         divisors.append(g // prev)
@@ -174,14 +206,6 @@ def test_smith_matches_minor_gcd_oracle():
     for _ in range(25):
         m, k = rng.randint(1, 3), rng.randint(1, 3)
         A = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(m)]
-        assert smith_normal_form(A) == _minor_gcd_divisors(A)
-    assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) \
+        assert snf_with_transforms(A)[0] == _minor_gcd_divisors(A)
+    assert snf_with_transforms([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])[0] \
         == _minor_gcd_divisors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-
-
-def test_snf_transform_divisors_match_plain():
-    rng = random.Random(5)
-    for _ in range(20):
-        m, k = rng.randint(1, 4), rng.randint(1, 4)
-        A = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)]
-        assert snf_with_transforms(A)[0] == smith_normal_form(A)
