@@ -166,7 +166,21 @@ def main(argv=None):
         return 2
 
 
+def _check_minimums(args):
+    """Reject numeric flags below the smallest value their command can use."""
+    minimums = {"n": 1, "q": 0, "max_degree": 1}
+    if getattr(args, "suite", None) == "star-laws":
+        # its associativity trials draw three factors of degree >= 1
+        minimums["max_degree"] = 3
+    for name, low in minimums.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            flag = "--" + name.replace("_", "-")
+            raise SchurlieError(f"{flag} must be >= {low}, got {value}")
+
+
 def _dispatch(args):
+    _check_minimums(args)
     if args.command == "normalize":
         ast = parse_expression(args.expression)
         n = _infer_rank(args, ast)

@@ -229,7 +229,7 @@ def find_annihilating_schur(n, i, j, u):
     word_list = [w for w in words_of(n, q)]
     col_vectors = []
     for key in keys:
-        e = SchurElement(n, q, {block_u: {key: 1}})
+        e = SchurElement._trusted(n, q, {block_u: {key: 1}})
         img = e.apply(fix)
         col_vectors.append([img.coeff(w) for w in word_list])
     rows = [[col_vectors[c][r] for c in range(len(keys))]
@@ -239,7 +239,8 @@ def find_annihilating_schur(n, i, j, u):
     if solution is None:
         raise NoSolutionFound(
             f"no integer equivariant map fixes the block of {block_u!r}")
-    h = SchurElement(n, q, {block_u: {key: c for key, c in zip(keys, solution) if c}})
+    row = {key: c for key, c in zip(keys, solution) if c}
+    h = SchurElement._trusted(n, q, {block_u: row} if row else {})
     if not h.apply(annihilate).is_zero():
         raise InternalInvariantError("annihilation condition violated")
     if h.apply(fix) != -fix:

@@ -32,10 +32,17 @@ MAGNUS_TRUNCATION_GUARD = 6  # series size grows like n^degree
 
 def reduce_word(seq):
     """Free reduction: cancel adjacent inverse pairs until none remain."""
-    out = []
+    seq = list(seq)
     for a in seq:
         if not isinstance(a, int) or a == 0:
             raise InvalidArgument(f"group-word letters are nonzero integers: {a!r}")
+    return _reduce(seq)
+
+
+def _reduce(seq):
+    """reduce_word for letters already known to be nonzero integers."""
+    out = []
+    for a in seq:
         if out and out[-1] == -a:
             out.pop()
         else:
@@ -77,12 +84,20 @@ class EndoOnFree:
         self.n = n
         self.images = images
 
+    @classmethod
+    def _trusted(cls, n, images):
+        """Wrap images as is: n reduced words with nonzero letters in -n..n."""
+        self = cls.__new__(cls)
+        self.n = n
+        self.images = images
+        return self
+
     def apply(self, w):
         out = []
         for a in w:
             img = self.images[a - 1] if a > 0 else word_inv(self.images[-a - 1])
             out.extend(img)
-        return reduce_word(out)
+        return _reduce(out)
 
     __call__ = apply
 
@@ -90,7 +105,7 @@ class EndoOnFree:
         """self after other: (self * other)(x) = self(other(x))."""
         if self.n != other.n:
             raise DimensionMismatch(f"composing ranks {self.n} and {other.n}")
-        return EndoOnFree(self.n, tuple(self.apply(w) for w in other.images))
+        return EndoOnFree._trusted(self.n, tuple(self.apply(w) for w in other.images))
 
     def __mul__(self, other):
         return self.compose(other)

@@ -16,7 +16,8 @@ the decomposition raises.
 from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidArgument, InternalInvariantError
-from .words import TensorElement, check_word, format_perm, tensor_product
+from .words import (TensorElement, _linear_combination, check_perm, check_word,
+                    format_perm, tensor_product)
 
 LEAF = None  # leaf marker inside bracket shapes
 
@@ -155,6 +156,16 @@ class LieElement:
                     clean[w] = c
         self._coeffs = clean
 
+    @classmethod
+    def _trusted(cls, n, degree, coeffs):
+        """Wrap coeffs as is: Lyndon words of length degree over 1..n, no
+        zero values."""
+        self = cls.__new__(cls)
+        self.n = n
+        self.degree = degree
+        self._coeffs = coeffs
+        return self
+
     def coeff(self, w):
         return self._coeffs.get(tuple(w), 0)
 
@@ -175,19 +186,25 @@ class LieElement:
         self._check_compatible(other)
         coeffs = dict(self._coeffs)
         for w, c in other._coeffs.items():
-            coeffs[w] = coeffs.get(w, 0) + c
-        return LieElement(self.n, self.degree, coeffs)
+            total = coeffs.get(w, 0) + c
+            if total:
+                coeffs[w] = total
+            else:
+                del coeffs[w]
+        return LieElement._trusted(self.n, self.degree, coeffs)
 
     def __neg__(self):
-        return LieElement(self.n, self.degree, {w: -c for w, c in self._coeffs.items()})
+        return LieElement._trusted(self.n, self.degree,
+                                   {w: -c for w, c in self._coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, k):
         if not k:
-            return LieElement(self.n, self.degree)
-        return LieElement(self.n, self.degree, {w: k * c for w, c in self._coeffs.items()})
+            return LieElement._trusted(self.n, self.degree, {})
+        return LieElement._trusted(self.n, self.degree,
+                                   {w: k * c for w, c in self._coeffs.items()})
 
     __rmul__ = scale
 
@@ -226,10 +243,9 @@ def zero_lie(n, degree):
 def embed(x):
     """Embedding into the tensor algebra; accepts a monomial tree or element."""
     if isinstance(x, LieElement):
-        out = TensorElement(x.degree)
-        for w, c in x.items():
-            out = out + embed_monomial(lyndon_bracketing(w)).scale(c)
-        return out
+        return _linear_combination(
+            x.degree, ((c, embed_monomial(lyndon_bracketing(w)))
+                       for w, c in x._coeffs.items()))
     if not is_monomial(x):
         raise InvalidArgument(f"not a Lie monomial tree: {x!r}")
     return embed_monomial(x)
@@ -239,16 +255,18 @@ def decompose(n, t):
     """Lyndon coordinates of a tensor known to be a Lie element.
 
     Raises InternalInvariantError when t is not in the image of the
-    embedding, which callers treat as an implementation bug.
+    embedding, which callers treat as an implementation bug, and
+    InvalidArgument when a coordinate word has a letter above rank n.
     """
-    degree = t.degree
-    rem = {w: c for w, c in t.items()}
+    rem = dict(t._coeffs)
     coords = {}
     while rem:
         w = min(rem)
         if not is_lyndon(w):
             raise InternalInvariantError(
                 f"leading word {w!r} is not Lyndon; tensor is not a Lie element")
+        if max(w) > n:
+            raise InvalidArgument(f"letter above rank {n} in {w!r}")
         c = rem[w]
         coords[w] = c
         for v, cv in embed_monomial(lyndon_bracketing(w)).items():
@@ -257,7 +275,7 @@ def decompose(n, t):
                 rem[v] = newc
             else:
                 rem.pop(v, None)
-    return LieElement(n, degree, coords)
+    return LieElement._trusted(n, t.degree, coords)
 
 
 def normalize(n, terms):
@@ -268,12 +286,10 @@ def normalize(n, terms):
     if not terms:
         raise InvalidArgument("normalize of an empty term list has no degree")
     degree = monomial_degree(terms[0][1])
-    total = TensorElement(degree)
-    for c, tree in terms:
-        if monomial_degree(tree) != degree:
-            raise DimensionMismatch("mixed degrees in a homogeneous sum")
-        total = total + embed_monomial(tree).scale(c)
-    return decompose(n, total)
+    if any(monomial_degree(tree) != degree for _, tree in terms):
+        raise DimensionMismatch("mixed degrees in a homogeneous sum")
+    return decompose(n, _linear_combination(
+        degree, ((c, embed_monomial(tree)) for c, tree in terms)))
 
 
 def lie_bracket(a, b):
@@ -371,7 +387,7 @@ class GroupRingElement:
                     raise DimensionMismatch(
                         f"permutation {p!r} in a degree-{degree} group-ring element")
                 if c:
-                    clean[tuple(p)] = c
+                    clean[check_perm(tuple(p))] = c
         self._coeffs = clean
 
     def items(self):
@@ -391,10 +407,8 @@ class GroupRingElement:
         """Linear action on a word or tensor through the place permutation."""
         if not isinstance(t, TensorElement):
             t = TensorElement.from_word(t)
-        out = TensorElement(t.degree)
-        for p, c in self._coeffs.items():
-            out = out + t.act(p).scale(c)
-        return out
+        return _linear_combination(t.degree,
+                                   ((c, t.act(p)) for p, c in self._coeffs.items()))
 
     def __str__(self):
         if not self._coeffs:

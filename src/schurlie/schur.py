@@ -17,9 +17,9 @@ from itertools import permutations, product
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
 from .freelie import LieElement, decompose, embed
-from .words import (TensorElement, _equal_letter_runs, act, all_perms,
-                    perm_inverse, perm_sorting_onto, sorted_rep, sorted_words,
-                    stabilizer_orbit_key, words_of)
+from .words import (TensorElement, _equal_letter_runs, _linear_combination,
+                    act, all_perms, check_word, perm_inverse, perm_sorting_onto,
+                    sorted_rep, sorted_words, stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest q for which Sigma_q is enumerated
 
@@ -31,7 +31,7 @@ def orbit_sum(u, key):
     for pieces in product(*(set(permutations(b)) for b in blocks)):
         w = sum(pieces, ())
         coeffs[w] = 1
-    return TensorElement(len(u), coeffs)
+    return TensorElement._trusted(len(u), coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +50,7 @@ class SchurElement:
         self.q = q
         clean = {}
         for u, row in data.items():
-            u = tuple(u)
+            u = check_word(u)
             if len(u) != q:
                 raise InvalidArgument(f"key word {u!r} has length {len(u)}, expected {q}")
             if u != sorted_rep(u):
@@ -59,7 +59,7 @@ class SchurElement:
                 raise InvalidArgument(f"letter above rank {n} in {u!r}")
             cleanrow = {}
             for key, c in row.items():
-                key = tuple(key)
+                key = check_word(key)
                 if stabilizer_orbit_key(u, key) != key:
                     raise InvalidArgument(
                         f"{key!r} is not the canonical orbit key for {u!r}")
@@ -69,6 +69,17 @@ class SchurElement:
                 clean[u] = cleanrow
         self.data = clean
         self._columns = {}
+
+    @classmethod
+    def _trusted(cls, n, q, data):
+        """Wrap data as is: weakly increasing words of length q over 1..n,
+        each mapping canonical orbit keys to nonzero values, no empty row."""
+        self = cls.__new__(cls)
+        self.n = n
+        self.q = q
+        self.data = data
+        self._columns = {}
+        return self
 
     @classmethod
     def from_orbit_data(cls, n, q, data):
@@ -120,8 +131,14 @@ class SchurElement:
         for u, row in other.data.items():
             target = data.setdefault(u, {})
             for key, c in row.items():
-                target[key] = target.get(key, 0) + c
-        return SchurElement(self.n, self.q, data)
+                total = target.get(key, 0) + c
+                if total:
+                    target[key] = total
+                else:
+                    del target[key]
+            if not target:
+                del data[u]
+        return SchurElement._trusted(self.n, self.q, data)
 
     def __neg__(self):
         return self.scale(-1)
@@ -131,10 +148,10 @@ class SchurElement:
 
     def scale(self, k):
         if not k:
-            return SchurElement.zero(self.n, self.q)
-        return SchurElement(self.n, self.q,
-                            {u: {key: k * c for key, c in row.items()}
-                             for u, row in self.data.items()})
+            return SchurElement._trusted(self.n, self.q, {})
+        return SchurElement._trusted(self.n, self.q,
+                                     {u: {key: k * c for key, c in row.items()}
+                                      for u, row in self.data.items()})
 
     __rmul__ = scale
 
@@ -145,9 +162,8 @@ class SchurElement:
         u = tuple(u)
         col = self._columns.get(u)
         if col is None:
-            col = TensorElement(self.q)
-            for key, c in self.data.get(u, {}).items():
-                col = col + orbit_sum(u, key).scale(c)
+            col = _linear_combination(self.q, ((c, orbit_sum(u, key))
+                                               for key, c in self.data.get(u, {}).items()))
             self._columns[u] = col
         return col
 
@@ -167,10 +183,8 @@ class SchurElement:
         if t.degree != self.q:
             raise DimensionMismatch(
                 f"degree-{t.degree} tensor under a degree-{self.q} map")
-        out = TensorElement(self.q)
-        for w, c in t.items():
-            out = out + self.apply_word(w).scale(c)
-        return out
+        return _linear_combination(self.q, ((c, self.apply_word(w))
+                                            for w, c in t._coeffs.items()))
 
     def column_map(self):
         """Dense column map over all basis words (word -> image tensor)."""
@@ -190,7 +204,7 @@ class SchurElement:
             row = orbit_data_of_column(u, col)
             if row:
                 data[u] = row
-        return SchurElement(self.n, self.q, data)
+        return SchurElement._trusted(self.n, self.q, data)
 
     # -- serialization --------------------------------------------------------
 
@@ -243,7 +257,7 @@ def basis(n, q):
     out = []
     for u in sorted_words(n, q):
         for key in orbit_keys(n, u):
-            out.append(SchurElement(n, q, {u: {key: 1}}))
+            out.append(SchurElement._trusted(n, q, {u: {key: 1}}))
     return tuple(out)
 
 

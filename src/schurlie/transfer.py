@@ -15,8 +15,9 @@ from math import factorial, prod
 
 from .errors import DimensionMismatch, InvalidArgument
 from .schur import SchurElement, orbit_data_of_column
-from .words import (TensorElement, act, perm_compose, perm_inverse,
-                    sorted_words, tensor_product, young_subgroup_of)
+from .words import (TensorElement, _linear_combination, act, check_perm,
+                    perm_compose, perm_inverse, sorted_words, tensor_product,
+                    young_subgroup_of)
 
 
 def check_composition(parts):
@@ -121,25 +122,32 @@ def transfer(parts, fs, transversal=None):
     d = sum(parts)
     if transversal is None:
         transversal = coset_transversal(parts)
+    else:
+        for sigma in transversal:
+            if len(check_perm(tuple(sigma))) != d:
+                raise DimensionMismatch(f"permutation {sigma!r} in a degree-{d} transversal")
     splits = []
     start = 0
     for a in parts:
         splits.append((start, start + a))
         start += a
 
+    def blockwise(v):
+        """(f_1 x ... x f_k)(v), each factor on its block of v."""
+        piece = TensorElement.from_word(())
+        for (lo, hi), f in zip(splits, fs):
+            piece = tensor_product(piece, f.apply_word(v[lo:hi]))
+        return piece
+
     data = {}
     for u in sorted_words(n, d):
-        total = TensorElement(d)
-        for sigma in transversal:
-            v = act(u, perm_inverse(sigma))
-            piece = TensorElement.from_word(())
-            for (lo, hi), f in zip(splits, fs):
-                piece = tensor_product(piece, f.apply_word(v[lo:hi]))
-            total = total + piece.act(sigma)
+        total = _linear_combination(
+            d, ((1, blockwise(act(u, perm_inverse(sigma))).act(sigma))
+                for sigma in transversal))
         row = orbit_data_of_column(u, total)
         if row:
             data[u] = row
-    return SchurElement(n, d, data)
+    return SchurElement._trusted(n, d, data)
 
 
 def star(f, g):

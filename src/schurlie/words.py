@@ -12,6 +12,11 @@ holds letter ``sigma^{-1}(t)`` of ``w``.  Two consecutive actions compose as
 
 where ``perm_compose(t, s)`` is ordinary function composition, s applied
 first.  All values here are immutable tuples or carry only private state.
+
+Validation happens once, at the input boundary: the public constructors check
+every word they are given.  Arithmetic builds its results through the private
+``_trusted`` constructors, whose callers guarantee checked words of matching
+length and no zero coefficients.
 """
 
 from itertools import (combinations_with_replacement, groupby, permutations,
@@ -117,9 +122,14 @@ def act(w, sigma):
     """
     if len(w) != len(sigma):
         raise DimensionMismatch(f"word of length {len(w)} under permutation of size {len(sigma)}")
+    return _place(w, sigma)
+
+
+def _place(w, sigma):
+    """act without the length check."""
     out = [0] * len(w)
-    for t, letter in enumerate(w):
-        out[sigma[t] - 1] = letter
+    for letter, target in zip(w, sigma):
+        out[target - 1] = letter
     return tuple(out)
 
 
@@ -251,6 +261,14 @@ class TensorElement:
         self._coeffs = clean
 
     @classmethod
+    def _trusted(cls, degree, coeffs):
+        """Wrap coeffs as is: checked words of length degree, no zero values."""
+        self = cls.__new__(cls)
+        self.degree = degree
+        self._coeffs = coeffs
+        return self
+
+    @classmethod
     def from_word(cls, w, coeff=1):
         return cls(len(w), {tuple(w): coeff})
 
@@ -282,25 +300,35 @@ class TensorElement:
             raise DimensionMismatch(f"adding tensors of degrees {self.degree} and {other.degree}")
         coeffs = dict(self._coeffs)
         for w, c in other._coeffs.items():
-            coeffs[w] = coeffs.get(w, 0) + c
-        return TensorElement(self.degree, coeffs)
+            total = coeffs.get(w, 0) + c
+            if total:
+                coeffs[w] = total
+            else:
+                del coeffs[w]
+        return TensorElement._trusted(self.degree, coeffs)
 
     def __neg__(self):
-        return TensorElement(self.degree, {w: -c for w, c in self._coeffs.items()})
+        return TensorElement._trusted(self.degree, {w: -c for w, c in self._coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, k):
         if not k:
-            return TensorElement(self.degree)
-        return TensorElement(self.degree, {w: k * c for w, c in self._coeffs.items()})
+            return TensorElement._trusted(self.degree, {})
+        return TensorElement._trusted(self.degree,
+                                      {w: k * c for w, c in self._coeffs.items()})
 
     __rmul__ = scale
 
     def act(self, sigma):
-        """The linear extension of the place-permutation action."""
-        return TensorElement(self.degree, {act(w, sigma): c for w, c in self._coeffs.items()})
+        """The linear extension of the place-permutation action; the size of
+        sigma is checked once per tensor, not once per word."""
+        if len(sigma) != self.degree:
+            raise DimensionMismatch(
+                f"degree-{self.degree} tensor under permutation of size {len(sigma)}")
+        return TensorElement._trusted(
+            self.degree, {_place(w, sigma): c for w, c in self._coeffs.items()})
 
     def __repr__(self):
         return f"TensorElement({self.degree}, {dict(self.items())!r})"
@@ -313,4 +341,15 @@ def tensor_product(s, t):
         for w2, c2 in t._coeffs.items():
             w = w1 + w2
             coeffs[w] = coeffs.get(w, 0) + c1 * c2
-    return TensorElement(s.degree + t.degree, coeffs)
+    return TensorElement._trusted(s.degree + t.degree,
+                                  {w: c for w, c in coeffs.items() if c})
+
+
+def _linear_combination(degree, terms):
+    """The sum of k * t over the (k, t) pairs of terms, all tensors of the
+    given degree, accumulated in one dict."""
+    coeffs = {}
+    for k, t in terms:
+        for w, c in t._coeffs.items():
+            coeffs[w] = coeffs.get(w, 0) + k * c
+    return TensorElement._trusted(degree, {w: c for w, c in coeffs.items() if c})

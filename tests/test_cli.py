@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +163,36 @@ def test_cli_verify_rejects_flag_suite_does_not_take(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: suite {argv[0]} takes no {flag}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "star-laws", "--n", "0"], "--n must be >= 1, got 0"),
+    (["verify", "operad", "--n", "0"], "--n must be >= 1, got 0"),
+    (["verify", "dimension", "--n", "0"], "--n must be >= 1, got 0"),
+    (["verify", "star-laws", "--max-degree", "1"], "--max-degree must be >= 3, got 1"),
+    (["verify", "generation", "--max-degree", "0"], "--max-degree must be >= 1, got 0"),
+    (["schur-basis", "--n", "2", "--q", "-1"], "--q must be >= 0, got -1"),
+    (["schur-basis", "--n", "-1", "--q", "2"], "--n must be >= 1, got -1"),
+])
+def test_cli_rejects_numeric_flag_out_of_range(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+PINNED = [suite for workload in json.loads(WORKLOADS.read_text())["workloads"].values()
+          for suite in workload["suites"]]
+
+
+@pytest.mark.parametrize("suite", PINNED, ids=[" ".join(s["argv"]) for s in PINNED])
+def test_cli_verify_matches_benchmark_pin(capsys, suite):
+    # the benchmark's seed-0 digests, checked here so that a change to the
+    # --json bytes fails the tests and not only the benchmark
+    assert main(["verify", *suite["argv"], "--seed", "0", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == suite["sha256_seed0"]
 
 
 def test_cli_schur_roundtrip(capsys):

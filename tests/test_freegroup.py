@@ -205,3 +205,5 @@ def test_endo_validation():
         EndoOnFree(2, [(1,), (3,)])
     with pytest.raises(InvalidArgument):
         EndoOnFree(2, [(1,)])
+    with pytest.raises(InvalidArgument):
+        EndoOnFree(2, [(1, 0), (2,)])

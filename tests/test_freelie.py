@@ -196,6 +196,17 @@ def test_bracketing_function_defining_property_all_words():
                     assert shape_of(tree) == shape
 
 
+def test_element_validation():
+    with pytest.raises(InvalidArgument):
+        LieElement(2, 2, {(2, 1): 1})  # not a Lyndon word
+    with pytest.raises(InvalidArgument):
+        LieElement(2, 2, {(1, 3): 1})  # letter above rank
+    with pytest.raises(InvalidArgument):
+        normalize(2, (1, 3))
+    with pytest.raises(InvalidArgument):
+        GroupRingElement(2, {(1, 1): 1})  # not a permutation
+
+
 def test_is_lyndon():
     assert is_lyndon((1, 1, 2))
     assert not is_lyndon((2, 1))

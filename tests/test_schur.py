@@ -53,6 +53,14 @@ def test_from_orbit_data_validation():
     with pytest.raises(InvalidArgument):
         # (2,1) is not canonical for u=(1,1): the key must be sorted per block
         SchurElement.from_orbit_data(2, 2, {(1, 1): {(2, 1): 1}})
+    with pytest.raises(InvalidArgument):
+        SchurElement.from_json_dict({"n": 2, "q": 2, "entries": [
+            {"u": "1.1", "key": "2.1", "coeff": "1"}]})
+    with pytest.raises(InvalidArgument):
+        # letters are positive: a zero in the key or in u is rejected
+        SchurElement.from_orbit_data(2, 2, {(1, 2): {(0, 2): 1}})
+    with pytest.raises(InvalidArgument):
+        SchurElement.from_orbit_data(2, 2, {(0, 1): {(0, 1): 1}})
 
 
 def test_apply_degree_mismatch():

@@ -87,6 +87,10 @@ def test_transfer_argument_errors():
         transfer((1, 0), [id1, id1])
     with pytest.raises(DimensionMismatch):
         transfer((1, 1), [id1, SchurElement.identity(3, 1)])
+    with pytest.raises(InvalidArgument):
+        transfer((1, 1), [id1, id1], transversal=[(1, 2), (1, 1)])
+    with pytest.raises(DimensionMismatch):
+        transfer((1, 1), [id1, id1], transversal=[(1, 2, 3)])
 
 
 def test_transfer_transversal_independence():

@@ -175,6 +175,10 @@ def test_tensor_arithmetic():
         t + TensorElement(3)
     with pytest.raises(DimensionMismatch):
         TensorElement(2, {(1, 2, 3): 1})
+    with pytest.raises(InvalidArgument):
+        TensorElement(2, {(1, 0): 1})
+    with pytest.raises(DimensionMismatch):
+        t.act((1, 2, 3))
 
 
 def test_tensor_act_linear():
