@@ -21,8 +21,8 @@ from .freelie import (LieElement, embed, generator, is_monomial, lie_bracket,
                       lyndon_bracketing, lyndon_words, monomial_degree,
                       normalize, zero_lie)
 from .linalg import IntegerLattice, solve_integer
-from .schur import SchurElement, apply_to_lie, basis, basis_dimension_formula, orbit_keys
-from .words import multidegree, sorted_rep, words_of
+from .schur import SchurElement, apply_to_lie, basis, basis_dimension_formula
+from .words import multidegree, rearrangements, sorted_rep, stabilizer_orbit_key
 
 CLOSURE_BASIS_GUARD = 600  # largest endomorphism basis the engine will sweep
 
@@ -198,8 +198,17 @@ def find_annihilating_schur(n, i, j, u):
 
     The two conditions live in different multidegree blocks (they differ by
     one occurrence of x_j versus x_i), so h is taken to vanish outside the
-    block of [x_i, u] and the annihilation holds for free; inside the block
-    an integer linear solve over the orbit-key coefficients does the rest.
+    sorted word block_u of [x_i, u] and the annihilation holds for free.
+
+    The fixing condition is a linear system over the orbit keys of block_u,
+    and it is block-diagonal by multidegree.  The column of a key is the map
+    {block_u: {key: 1}} applied to fix = [x_i, u]; that image is
+    orbit_sum(block_u, key) moved by place permutations, so it lives on the
+    words of key's multidegree.  The right-hand side -fix lives on the
+    rearrangements of block_u, so every other block has right-hand side 0
+    and is solved by zero coefficients.  Only block_u's own block is built:
+    its rows are the distinct rearrangements of block_u, its columns their
+    canonical keys, and one integer solve over that block does the rest.
     """
     if i == j:
         raise InvalidArgument("need distinct indices")
@@ -225,15 +234,11 @@ def find_annihilating_schur(n, i, j, u):
         if block_u in other:
             raise InternalInvariantError("the two defining blocks coincide")
 
-    keys = orbit_keys(n, block_u)
-    word_list = [w for w in words_of(n, q)]
-    col_vectors = []
-    for key in keys:
-        e = SchurElement._trusted(n, q, {block_u: {key: 1}})
-        img = e.apply(fix)
-        col_vectors.append([img.coeff(w) for w in word_list])
-    rows = [[col_vectors[c][r] for c in range(len(keys))]
-            for r in range(len(word_list))]
+    word_list = rearrangements(block_u)
+    keys = sorted({stabilizer_orbit_key(block_u, w) for w in word_list})
+    images = [SchurElement._trusted(n, q, {block_u: {key: 1}}).apply(fix)
+              for key in keys]
+    rows = [[img.coeff(w) for img in images] for w in word_list]
     rhs = [-fix.coeff(w) for w in word_list]
     solution = solve_integer(rows, rhs)
     if solution is None:

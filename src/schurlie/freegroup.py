@@ -93,19 +93,27 @@ class EndoOnFree:
         return self
 
     def apply(self, w):
+        for a in w:
+            if not isinstance(a, int) or not 0 < abs(a) <= self.n:
+                raise InvalidArgument(
+                    f"group-word letters are nonzero integers in -{self.n}..{self.n}: {a!r}")
+        return self._apply(w)
+
+    __call__ = apply
+
+    def _apply(self, w):
+        """apply for letters already known to be nonzero integers in -n..n."""
         out = []
         for a in w:
             img = self.images[a - 1] if a > 0 else word_inv(self.images[-a - 1])
             out.extend(img)
         return _reduce(out)
 
-    __call__ = apply
-
     def compose(self, other):
         """self after other: (self * other)(x) = self(other(x))."""
         if self.n != other.n:
             raise DimensionMismatch(f"composing ranks {self.n} and {other.n}")
-        return EndoOnFree._trusted(self.n, tuple(self.apply(w) for w in other.images))
+        return EndoOnFree._trusted(self.n, tuple(self._apply(w) for w in other.images))
 
     def __mul__(self, other):
         return self.compose(other)

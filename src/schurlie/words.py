@@ -133,9 +133,34 @@ def _place(w, sigma):
     return tuple(out)
 
 
+def rearrangements(w):
+    """The distinct rearrangements of w's letters, lexicographic.
+
+    Next-permutation steps from sorted(w), so the cost follows the number of
+    distinct rearrangements, not q!.
+
+    >>> rearrangements((2, 1, 1))
+    [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    """
+    w = sorted(w)
+    out = [tuple(w)]
+    while True:
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = reversed(w[i + 1:])
+        out.append(tuple(w))
+
+
 def orbit(w):
     """The full Sigma_q-orbit of w: all rearrangements of its letters."""
-    return set(permutations(w))
+    return set(rearrangements(w))
 
 
 def sorted_rep(w):
@@ -144,19 +169,15 @@ def sorted_rep(w):
 
 
 def perm_sorting_onto(u, w):
-    """Some sigma with act(u, sigma) == w; u and w must share a multiset."""
-    buckets = {}
-    for t, letter in enumerate(u, 1):
-        buckets.setdefault(letter, []).append(t)
-    inv = []
-    for letter in w:
-        positions = buckets.get(letter)
-        if not positions:
-            raise InvalidArgument(f"{u!r} and {w!r} are not rearrangements of each other")
-        inv.append(positions.pop(0))
-    if len(inv) != len(u):
-        raise InvalidArgument(f"{u!r} and {w!r} are not rearrangements of each other")
-    return perm_inverse(tuple(inv))
+    """The sigma with act(u, sigma) == w for u == sorted(w) that keeps equal
+    letters in order: the stable argsort of w, 1-based.
+
+    >>> perm_sorting_onto((1, 1, 2), (2, 1, 1))
+    (2, 3, 1)
+    """
+    if list(u) != sorted(w):
+        raise InvalidArgument(f"{u!r} is not the sorted rearrangement of {w!r}")
+    return tuple([t + 1 for t in sorted(range(len(w)), key=w.__getitem__)])
 
 
 def letter_class_key(u, w):

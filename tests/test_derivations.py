@@ -18,8 +18,9 @@ from schurlie.freelie import (LieElement, embed, generator, lie_bracket,
                               lyndon_basis, lyndon_words, normalize,
                               witt_dimension, zero_lie)
 from schurlie.linalg import rank
-from schurlie.schur import SchurElement, apply_to_lie, letter_substitution
-from schurlie.words import sorted_words
+from schurlie.schur import (SchurElement, apply_to_lie, letter_substitution,
+                            orbit_keys)
+from schurlie.words import multidegree, sorted_rep, sorted_words, words_of
 
 
 def _random_lie(rng, n, p, terms=2):
@@ -251,7 +252,6 @@ def test_schur_act_module_axioms():
     rng = random.Random(25)
     for n, q in [(2, 2), (3, 2), (2, 3)]:
         us = list(sorted_words(n, q))
-        from schurlie.schur import orbit_keys
         def rnd():
             data = {}
             for _ in range(2):
@@ -300,7 +300,7 @@ def test_find_annihilating_schur_all_small_monomials():
         for j in range(1, 4):
             if i == j:
                 continue
-            for k in (2, 3):
+            for k in (2, 3, 4):
                 for tree in lyndon_basis(n, k):
                     h = find_annihilating_schur(n, i, j, tree)
                     u = normalize(n, tree)
@@ -310,6 +310,41 @@ def test_find_annihilating_schur_all_small_monomials():
                     assert apply_to_lie(h, xi_u) == -xi_u
                     bracket = der_bracket(chi, generator_derivation(j, u))
                     assert schur_act(h, bracket) == generator_derivation(i, xi_u)
+
+
+def _full_fixing_system(n, i, tree):
+    """The fixing condition over every orbit key of block_u and all n^q
+    words: (rows, rhs, keys, words, block_u)."""
+    fix = embed(lie_bracket(generator(n, i), normalize(n, tree)))
+    block_u = sorted_rep(fix.support()[0])
+    keys = orbit_keys(n, block_u)
+    images = [SchurElement(n, fix.degree, {block_u: {key: 1}}).apply(fix)
+              for key in keys]
+    words = list(words_of(n, fix.degree))
+    rows = [[img.coeff(w) for img in images] for w in words]
+    rhs = [-fix.coeff(w) for w in words]
+    return rows, rhs, keys, words, block_u
+
+
+@pytest.mark.parametrize("n, max_k", [(3, 4), (2, 6)])
+def test_find_annihilating_schur_solves_full_system(n, max_k):
+    # differential check of the block solve against the full n^q-row system
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            for k in range(2, max_k + 1):
+                for tree in lyndon_basis(n, k):
+                    rows, rhs, keys, words, block_u = _full_fixing_system(n, i, tree)
+                    mdeg = multidegree(block_u, n)
+                    block = [r for r, w in enumerate(words) if sorted_rep(w) == block_u]
+                    for c, key in enumerate(keys):
+                        if multidegree(key, n) != mdeg:
+                            assert all(rows[r][c] == 0 for r in block)
+                    h = find_annihilating_schur(n, i, j, tree)
+                    assert set(h.data) <= {block_u}
+                    x = [h.coeff(block_u, key) for key in keys]
+                    assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
 
 
 def test_find_annihilating_schur_rejects_degree_one():

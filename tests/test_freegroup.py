@@ -207,3 +207,10 @@ def test_endo_validation():
         EndoOnFree(2, [(1,)])
     with pytest.raises(InvalidArgument):
         EndoOnFree(2, [(1, 0), (2,)])
+    phi = conjugating_auto(2, 1, 2).fwd
+    assert phi.apply((1, -2)) == phi((1, -2)) == (-2, 1)
+    for bad in [(0,), (1, "2"), (3,), (-3,), (1.0,)]:
+        with pytest.raises(InvalidArgument):
+            phi.apply(bad)
+        with pytest.raises(InvalidArgument):
+            phi(bad)

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -7,9 +7,9 @@ from schurlie.errors import DimensionMismatch, InvalidArgument
 from schurlie.words import (TensorElement, act, all_perms, format_perm,
                             identity_perm, letter_class_key, multidegree,
                             orbit, perm_compose, perm_from_cycles,
-                            perm_inverse, perm_sorting_onto, sorted_rep,
-                            sorted_words, stabilizer_orbit_key, tensor_product,
-                            words_of, young_subgroup_of)
+                            perm_inverse, perm_sorting_onto, rearrangements,
+                            sorted_rep, sorted_words, stabilizer_orbit_key,
+                            tensor_product, words_of, young_subgroup_of)
 
 
 def test_act_swap():
@@ -155,12 +155,24 @@ def test_letter_class_key_general_position():
     assert letter_class_key((2, 1, 2), (3, 1, 1)) == (1, 1, 3)
 
 
+def test_rearrangements_match_permutations():
+    for n, q in [(3, 4), (2, 6), (4, 3), (1, 2), (2, 0)]:
+        for w in words_of(n, q):
+            assert rearrangements(w) == sorted(set(permutations(w)))
+
+
 def test_perm_sorting_onto():
     for w in words_of(3, 4):
         u = sorted_rep(w)
-        assert act(u, perm_sorting_onto(u, w)) == w
+        sigma = perm_sorting_onto(u, w)
+        assert act(u, sigma) == w
+        # the stable sigma: equal letters of u keep their order in w
+        stable = tuple(t + 1 for _, t in sorted((a, t) for t, a in enumerate(w)))
+        assert sigma == stable
     with pytest.raises(InvalidArgument):
         perm_sorting_onto((1, 2), (1, 1))
+    with pytest.raises(InvalidArgument):
+        perm_sorting_onto((2, 1), (1, 2))
 
 
 def test_tensor_arithmetic():
