@@ -11,15 +11,22 @@ everything reachable from a set of degree-2 generators through derivation
 brackets of lower degrees and through the degree-matched action of the
 equivariant-endomorphism basis, reporting rank and elementary divisors
 against the expected n * (number of Lyndon words).
+
+The action needs one sweep, not a fixed-point loop: basis(n, p) is a Z-basis
+of the integral Schur algebra, which contains the identity and is closed
+under composition (Green, Polynomial Representations of GL_n, LNM 830,
+1980).  So the span of b.v over every basis element b and every seed v
+contains the seeds and is mapped into itself by every b.
 """
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NoSolutionFound, ResourceGuardExceeded)
 from .freelie import (LieElement, embed, generator, is_monomial, lie_bracket,
                       lyndon_bracketing, lyndon_words, monomial_degree,
-                      normalize, zero_lie)
+                      monomial_letters, monomial_str, normalize, zero_lie)
 from .linalg import IntegerLattice, solve_integer
 from .schur import SchurElement, apply_to_lie, basis, basis_dimension_formula
 from .words import multidegree, rearrangements, sorted_rep, stabilizer_orbit_key
@@ -153,6 +160,8 @@ def apply_derivation(D, a):
         return out
     if not is_monomial(a):
         raise InvalidArgument(f"not a Lie monomial tree: {a!r}")
+    if max(monomial_letters(a)) > D.n:
+        raise InvalidArgument(f"letter above rank {D.n} in {monomial_str(a)}")
     return _apply_to_monomial(D, a)
 
 
@@ -276,35 +285,40 @@ def derivation_from_vector(n, degree, vec):
 
 @lru_cache(maxsize=None)
 def _action_matrices(n, p):
-    """Per basis endomorphism, its matrix on Lyndon coordinates, as columns."""
+    """Per basis endomorphism, its nonzero (row, col, value) entries on
+    Lyndon coordinates; elements with no entries are left out.  The element
+    {u: {key: 1}} vanishes on every Lyndon word whose sorted letters are not
+    u, so only the words of u's block are applied."""
     words = lyndon_words(n, p)
+    index = {w: r for r, w in enumerate(words)}
     mats = []
     for f in basis(n, p):
-        cols = []
-        for w in words:
-            img = apply_to_lie(f, LieElement(n, p, {w: 1}))
-            cols.append([img.coeff(v) for v in words])
-        mats.append(cols)
+        (u,) = f.data
+        entries = tuple((index[v], c, x)
+                        for c, w in enumerate(words) if sorted_rep(w) == u
+                        for v, x in apply_to_lie(f, LieElement(n, p, {w: 1})).items())
+        if entries:
+            mats.append(entries)
     return tuple(mats)
 
 
-def _act_on_vector(cols, n, W, vec):
-    out = [0] * (n * W)
-    for block in range(n):
-        base = block * W
-        for c in range(W):
-            x = vec[base + c]
-            if x:
-                col = cols[c]
-                for r in range(W):
-                    if col[r]:
-                        out[base + r] += x * col[r]
+def _act_on_vector(entries, W, vec):
+    out = [0] * len(vec)
+    for base in range(0, len(vec), W):
+        for r, c, x in entries:
+            y = vec[base + c]
+            if y:
+                out[base + r] += x * y
     return out
 
 
 def schur_closure_rank(n, generators, max_degree):
     """Degree-by-degree reachability report for the closure of degree-2
     generators under derivation brackets and the endomorphism action.
+
+    The seeds of a degree are the generators (degree 2) or the brackets of
+    lower degrees.  Every basis endomorphism then acts once on every seed row
+    (one sweep, see the module docstring), stopping once the lattice is Z^dim.
 
     Returns one dict per degree 2..max_degree with the reached rank over the
     rationals, the full rank n * witt_dimension(n, p), and the elementary
@@ -330,28 +344,18 @@ def schur_closure_rank(n, generators, max_degree):
         if p == 2:
             for D in generators:
                 lattice.add(derivation_to_vector(D))
-        for p1 in range(2, p):
-            p2 = p + 1 - p1
-            if p2 < p1 or p2 not in reached or p1 not in reached:
-                continue
+        for p1 in range(2, (p + 3) // 2):
+            p2 = p + 1 - p1  # p2 >= p1, and both are below p
             for a_idx, a in enumerate(reached[p1]):
-                bs = reached[p2]
                 start = a_idx + 1 if p1 == p2 else 0
-                for b in bs[start:]:
+                for b in reached[p2][start:]:
                     lattice.add(derivation_to_vector(der_bracket(a, b)))
-        if lattice.rank():
-            mats = _action_matrices(n, p)
-            stable = False
-            while not stable and not lattice.full_unimodular():
-                stable = True
-                snapshot = lattice.basis_rows()
-                for cols in mats:
-                    for vec in snapshot:
-                        if lattice.add(_act_on_vector(cols, n, W, vec)):
-                            stable = False
-                    if lattice.full_unimodular():
-                        stable = True
-                        break
+        seeds = lattice.basis_rows()
+        if seeds and not lattice.full_unimodular():
+            for entries, vec in product(_action_matrices(n, p), seeds):
+                image = _act_on_vector(entries, W, vec)
+                if any(image) and lattice.add(image) and lattice.full_unimodular():
+                    break
         divisors = lattice.elementary_divisors()
         entry = {
             "degree": p,

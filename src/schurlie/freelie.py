@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidArgument, InternalInvariantError
 from .words import (TensorElement, _linear_combination, check_perm, check_word,
-                    format_perm, tensor_product)
+                    format_perm, perm_inverse, tensor_product)
 
 LEAF = None  # leaf marker inside bracket shapes
 
@@ -443,14 +443,6 @@ def bracketing_function(shape):
     tree = monomial_from_shape(shape, range(1, q + 1))
     coeffs = {}
     for w, c in embed_monomial(tree).items():
-        sigma = perm_of_distinct_word(w)
+        sigma = perm_inverse(w)  # act((1..q), sigma) == w
         coeffs[sigma] = coeffs.get(sigma, 0) + c
     return GroupRingElement(q, coeffs)
-
-
-def perm_of_distinct_word(w):
-    """The sigma with act((1..q), sigma) == w, for w a rearrangement of 1..q."""
-    inv = [0] * len(w)
-    for t, letter in enumerate(w, 1):
-        inv[letter - 1] = t
-    return tuple(inv)

@@ -79,6 +79,7 @@ def solve(rows, rhs):
 # integer lattices
 
 def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b == g."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -87,14 +88,16 @@ def _xgcd(a, b):
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 
 class IntegerLattice:
-    """Row span over Z, kept in integer echelon form with positive pivots.
-
-    add() returns True exactly when the lattice strictly grows, so repeated
-    insertion is a fixed-point loop; full_unimodular() detects Z^dim.
+    """Row span over Z, kept in integer echelon form: each row's first
+    nonzero entry (its pivot) is positive and lies right of the pivot above,
+    so the lattice is Z^dim exactly when it has dim rows, all with pivot 1.
+    add() returns True exactly when the lattice strictly grows.
     """
 
     def __init__(self, dim):

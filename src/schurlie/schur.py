@@ -234,17 +234,15 @@ class SchurElement:
 def orbit_data_of_column(u, col):
     """Read orbit coefficients off a tensor that must be stabilizer-invariant."""
     row = {}
-    seen = {}
+    count = {}
     for w, c in col.items():
         key = stabilizer_orbit_key(u, w)
-        if key in seen and seen[key] != c:
+        if row.setdefault(key, c) != c:
             raise InternalInvariantError(
                 f"column at {u!r} is not constant on stabilizer orbits")
-        seen[key] = c
-        row[key] = c
-    for key, c in row.items():
-        if len(orbit_sum(u, key)) != sum(1 for w, cc in col.items()
-                                         if stabilizer_orbit_key(u, w) == key):
+        count[key] = count.get(key, 0) + 1
+    for key, k in count.items():
+        if len(orbit_sum(u, key)) != k:
             raise InternalInvariantError(
                 f"column at {u!r} misses part of the orbit of {key!r}")
     return row

@@ -195,6 +195,23 @@ def test_cli_verify_matches_benchmark_pin(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == suite["sha256_seed0"]
 
 
+# closure sizes outside the benchmark, pinned to the output of the earlier
+# fixed-point closure engine
+GENERATION_PINS = {
+    "generation --n 3 --max-degree 4 --generators gamma":
+        "b135b346b51c696e98a994f72e072fa575835a2f70d95bbb814faae521cce71f",
+    "generation --n 2 --max-degree 8":
+        "5bbc87966f50d49d48fec6db271b9bfbd692cea29377d71c837b6cdbed90250c",
+}
+
+
+@pytest.mark.parametrize("command", GENERATION_PINS)
+def test_cli_verify_generation_pin(capsys, command):
+    assert main(["verify", *command.split(), "--seed", "0", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATION_PINS[command]
+
+
 def test_cli_schur_roundtrip(capsys):
     element = json.dumps({"n": 2, "q": 1,
                           "entries": [{"u": "1", "key": "2", "coeff": "1"}]})

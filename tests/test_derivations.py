@@ -4,8 +4,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurlie.derivations import (Derivation, apply_derivation,
-                                  commutator_derivation,
+from schurlie.derivations import (Derivation, _action_matrices,
+                                  apply_derivation, commutator_derivation,
                                   conjugating_derivation, der_bracket,
                                   derivation_from_vector, derivation_to_vector,
                                   find_annihilating_schur, gamma_generators,
@@ -17,9 +17,9 @@ from schurlie.errors import (DimensionMismatch, InvalidArgument,
 from schurlie.freelie import (LieElement, embed, generator, lie_bracket,
                               lyndon_basis, lyndon_words, normalize,
                               witt_dimension, zero_lie)
-from schurlie.linalg import rank
-from schurlie.schur import (SchurElement, apply_to_lie, letter_substitution,
-                            orbit_keys)
+from schurlie.linalg import IntegerLattice, rank
+from schurlie.schur import (SchurElement, apply_to_lie, basis,
+                            letter_substitution, orbit_keys)
 from schurlie.words import multidegree, sorted_rep, sorted_words, words_of
 
 
@@ -104,6 +104,9 @@ def test_apply_derivation_on_generator():
     d = conjugating_derivation(3, 1, 2)
     assert apply_derivation(d, generator(3, 1)) == normalize(3, (1, 2))
     assert apply_derivation(d, generator(3, 3)).is_zero()
+    for tree in (5, (1, 4)):
+        with pytest.raises(InvalidArgument):
+            apply_derivation(d, tree)
 
 
 def test_apply_derivation_nested_with_alternating_term():
@@ -387,6 +390,66 @@ def test_closure_resource_guard_partial_report():
     with pytest.raises(ResourceGuardExceeded) as info:
         schur_closure_rank(3, mtilde_generators(3), 6)
     assert isinstance(info.value.partial, list)
+
+
+def test_action_matrices_are_the_nonzero_dense_entries():
+    # every column of every basis element, not only its own block
+    for n, p in [(2, 5), (3, 3)]:
+        words = lyndon_words(n, p)
+        dense = []
+        for f in basis(n, p):
+            entries = sorted((words.index(v), c, x) for c, w in enumerate(words)
+                             for v, x in apply_to_lie(f, LieElement(n, p, {w: 1})).items())
+            if entries:
+                dense.append(entries)
+        assert [sorted(m) for m in _action_matrices(n, p)] == dense
+
+
+def _fixed_point_closure(n, generators, max_degree):
+    """The closure as the definition reads: bracket every ordered pair of
+    lower-degree basis derivations, then act by every element of the public
+    basis through schur_act, round after round, until a round adds nothing.
+    Returns (reached_rank, elementary_divisors) per degree."""
+    out = []
+    reached = {}
+    for p in range(2, max_degree + 1):
+        lattice = IntegerLattice(n * len(lyndon_words(n, p)))
+        seeds = list(generators) if p == 2 else [
+            der_bracket(a, b) for p1 in range(2, p)
+            for a in reached[p1] for b in reached[p + 1 - p1]]
+        for D in seeds:
+            lattice.add(derivation_to_vector(D))
+        grew = True
+        while grew:
+            grew = False
+            for f in basis(n, p):
+                for row in lattice.basis_rows():
+                    image = schur_act(f, derivation_from_vector(n, p, row))
+                    grew |= lattice.add(derivation_to_vector(image))
+        out.append((lattice.rank(), lattice.elementary_divisors()))
+        reached[p] = [derivation_from_vector(n, p, row) for row in lattice.basis_rows()]
+    return out
+
+
+def _chi_multiples(n):
+    return [conjugating_derivation(n, 1, 2).scale(3),
+            conjugating_derivation(n, 2, 1).scale(2)]
+
+
+def _double_gamma(n):
+    return [g.scale(2) for g in gamma_generators(n)]
+
+
+@pytest.mark.parametrize("n, seeds, max_degree", [
+    (2, _chi_multiples, 5), (3, _chi_multiples, 3), (3, _double_gamma, 3)])
+def test_closure_matches_fixed_point_oracle(n, seeds, max_degree):
+    # seeds whose closure never reaches Z^dim, so the one-sweep engine cannot
+    # stop early and must reach the same lattice as the round-by-round one
+    gens = seeds(n)
+    report = schur_closure_rank(n, gens, max_degree)
+    assert not any(e["saturated"] for e in report)
+    got = [(e["reached_rank"], e["elementary_divisors"]) for e in report]
+    assert got == _fixed_point_closure(n, gens, max_degree)
 
 
 def test_vector_roundtrip():

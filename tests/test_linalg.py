@@ -167,10 +167,23 @@ def test_lattice_matches_smith_on_random_input():
         lat = IntegerLattice(dim)
         for v in vecs:
             lat.add(v)
-        assert lat.elementary_divisors() == snf_with_transforms(vecs)[0]
+        divisors = lat.elementary_divisors()
+        assert divisors == snf_with_transforms(vecs)[0]
         assert lat.rank() == rank(vecs)
+        assert all(next(x for x in row if x) > 0 for row in lat.rows)
+        assert lat.full_unimodular() == (lat.rank() == dim
+                                         and all(d == 1 for d in divisors))
         for v in vecs:
             assert lat.contains(v)
+
+
+def test_lattice_gcd_step_keeps_pivot_positive():
+    # the gcd of 2 and -3 must enter as pivot 1, not -1
+    lat = IntegerLattice(1)
+    lat.add([2])
+    assert lat.add([-3])
+    assert lat.rows == [[1]]
+    assert lat.full_unimodular()
 
 
 def test_lattice_rejects_wrong_length():

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from schurlie.errors import (DimensionMismatch, InvalidArgument,
-                             ResourceGuardExceeded)
+from schurlie.errors import (DimensionMismatch, InternalInvariantError,
+                             InvalidArgument, ResourceGuardExceeded)
 from schurlie.freelie import (bracketing_function, embed, lyndon_basis,
                               monomial_from_shape, monomial_letters,
                               normalize, shape_of, specht_wever)
@@ -280,6 +280,14 @@ def test_orbit_data_roundtrip():
             if row:
                 data[u] = row
         assert SchurElement.from_orbit_data(n, q, data) == f
+
+
+def test_orbit_data_rejects_non_invariant_column():
+    # under u = (1, 1) the words (1, 2) and (2, 1) form one stabilizer orbit
+    with pytest.raises(InternalInvariantError, match="not constant"):
+        orbit_data_of_column((1, 1), TensorElement(2, {(1, 2): 1, (2, 1): 2}))
+    with pytest.raises(InternalInvariantError, match="misses part"):
+        orbit_data_of_column((1, 1), TensorElement(2, {(1, 2): 1}))
 
 
 def test_linear_structure():
