@@ -6,6 +6,15 @@ generators, each a degree-p element; the Leibniz rule extends it to all
 degrees.  The bracket of derivations of degrees p and p' has degree
 p + p' - 1 in this natural count (generator in, degree-p element out).
 
+Derivations are evaluated in the tensor algebra.  The free Lie algebra L(V)
+sits inside T(V) = U(L(V)), and a derivation of L(V) extends uniquely to a
+derivation of T(V) (Reutenauer, Free Lie Algebras, 1993, ch. 1).  So if
+embed(a) = sum c_w w, then D(a) is the decomposition of
+
+    sum c_w sum_i w[:i] . embed(D(x_{w_i})) . w[i+1:],
+
+one embedding, one Leibniz pass over the words and one decomposition.
+
 The closure engine computes, degree by degree, the integer lattice spanned by
 everything reachable from a set of degree-2 generators through derivation
 brackets of lower degrees and through the degree-matched action of the
@@ -17,19 +26,34 @@ of the integral Schur algebra, which contains the identity and is closed
 under composition (Green, Polynomial Representations of GL_n, LNM 830,
 1980).  So the span of b.v over every basis element b and every seed v
 contains the seeds and is mapped into itself by every b.
+
+The action entries come from the same basis read as orbits of pairs of
+words.  The element {u: {key: 1}} sends a word x with sorted letters u to
+orbit_sum(u, key) moved by the place permutation that sorts u onto x, and
+zero to every other word.  For any word l, exactly one key puts l in the
+image of x: for each letter a of u in increasing order, the sorted letters
+of l at the positions where x holds a.  So one pass over the pairs (x in the
+support of embed(P_w), l a Lyndon word) gives every key's coefficients at the
+Lyndon words at once.  The embedding is unitriangular, P_l = l + larger
+words (Chen-Fox-Lyndon), so back-substitution in increasing Lyndon order
+turns those coefficients into Lyndon coordinates.
 """
 
 from functools import lru_cache
 from itertools import product
+from operator import add
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NoSolutionFound, ResourceGuardExceeded)
-from .freelie import (LieElement, embed, generator, is_monomial, lie_bracket,
+from .freelie import (LieElement, _lyndon_triangle, decompose, embed,
+                      embed_monomial, generator, is_monomial, lie_bracket,
                       lyndon_bracketing, lyndon_words, monomial_degree,
                       monomial_letters, monomial_str, normalize, zero_lie)
 from .linalg import IntegerLattice, solve_integer
-from .schur import SchurElement, apply_to_lie, basis, basis_dimension_formula
-from .words import multidegree, rearrangements, sorted_rep, stabilizer_orbit_key
+from .schur import (SchurElement, apply_to_lie, basis_dimension_formula,
+                    orbit_keys)
+from .words import (TensorElement, multidegree, rearrangements, sorted_rep,
+                    sorted_words, stabilizer_orbit_key)
 
 CLOSURE_BASIS_GUARD = 600  # largest endomorphism basis the engine will sweep
 
@@ -149,39 +173,63 @@ def gamma_generators(n):
 def apply_derivation(D, a):
     """Leibniz extension of D; accepts a monomial tree or a LieElement.
 
-    The result is homogeneous of degree deg(a) + deg(D) - 1.
+    The result is homogeneous of degree deg(a) + deg(D) - 1.  It is computed
+    in the tensor algebra, see the module docstring.
     """
     if isinstance(a, LieElement):
         if a.n != D.n:
             raise DimensionMismatch(f"rank-{a.n} element under a rank-{D.n} derivation")
-        out = zero_lie(D.n, a.degree + D.degree - 1)
-        for w, c in a.items():
-            out = out + _apply_to_monomial(D, lyndon_bracketing(w)).scale(c)
-        return out
-    if not is_monomial(a):
-        raise InvalidArgument(f"not a Lie monomial tree: {a!r}")
-    if max(monomial_letters(a)) > D.n:
-        raise InvalidArgument(f"letter above rank {D.n} in {monomial_str(a)}")
-    return _apply_to_monomial(D, a)
+    else:
+        if not is_monomial(a):
+            raise InvalidArgument(f"not a Lie monomial tree: {a!r}")
+        if max(monomial_letters(a)) > D.n:
+            raise InvalidArgument(f"letter above rank {D.n} in {monomial_str(a)}")
+    t = embed(a)
+    coeffs = {}
+    _leibniz(coeffs, _embedded_images(D), t._coeffs, 1)
+    return decompose(D.n, _tensor(t.degree + D.degree - 1, coeffs))
 
 
-def _apply_to_monomial(D, tree):
-    if isinstance(tree, int):
-        return D.image(tree)
-    left, right = tree
-    left_el = normalize(D.n, left)
-    right_el = normalize(D.n, right)
-    return (lie_bracket(_apply_to_monomial(D, left), right_el)
-            + lie_bracket(left_el, _apply_to_monomial(D, right)))
+def _embedded_images(D):
+    """D's generator images in the tensor algebra, as word -> coefficient."""
+    return tuple(embed(img)._coeffs for img in D.images)
+
+
+def _leibniz(coeffs, images, terms, sign):
+    """Add sign times D(sum of c * w over terms) into coeffs, where D is the
+    derivation of the tensor algebra sending x_i to images[i - 1]; terms and
+    images map words to coefficients."""
+    for w, c in terms.items():
+        c *= sign
+        for i, letter in enumerate(w):
+            image = images[letter - 1]
+            if image:
+                head, tail = w[:i], w[i + 1:]
+                for v, cv in image.items():
+                    word = head + v + tail
+                    coeffs[word] = coeffs.get(word, 0) + c * cv
+
+
+def _tensor(degree, coeffs):
+    return TensorElement._trusted(degree, {w: c for w, c in coeffs.items() if c})
 
 
 def der_bracket(D, E):
-    """[D, E] = D E - E D, of degree deg(D) + deg(E) - 1."""
+    """[D, E] = D E - E D, of degree deg(D) + deg(E) - 1.
+
+    Each generator image D(E(x_k)) - E(D(x_k)) is formed in the tensor
+    algebra and decomposed once."""
     if D.n != E.n:
         raise DimensionMismatch(f"bracket across ranks {D.n} and {E.n}")
-    images = tuple(apply_derivation(D, E.images[k]) - apply_derivation(E, D.images[k])
-                   for k in range(D.n))
-    return Derivation(D.n, D.degree + E.degree - 1, images)
+    d_images, e_images = _embedded_images(D), _embedded_images(E)
+    degree = D.degree + E.degree - 1
+    images = []
+    for k in range(D.n):
+        coeffs = {}
+        _leibniz(coeffs, d_images, e_images[k], 1)
+        _leibniz(coeffs, e_images, d_images[k], -1)
+        images.append(decompose(D.n, _tensor(degree, coeffs)))
+    return Derivation(D.n, degree, images)
 
 
 def schur_act(f, D):
@@ -285,21 +333,62 @@ def derivation_from_vector(n, degree, vec):
 
 @lru_cache(maxsize=None)
 def _action_matrices(n, p):
-    """Per basis endomorphism, its nonzero (row, col, value) entries on
-    Lyndon coordinates; elements with no entries are left out.  The element
+    """Per basis endomorphism, in basis(n, p) order, its nonzero
+    (row, col, value) entries on Lyndon coordinates, sorted by column and
+    then row; elements with no entries are left out.  The element
     {u: {key: 1}} vanishes on every Lyndon word whose sorted letters are not
-    u, so only the words of u's block are applied."""
+    u, and the pair pass over u's block (module docstring) gives the
+    entries of every key of u at once."""
     words = lyndon_words(n, p)
-    index = {w: r for r, w in enumerate(words)}
+    blocks = {}  # sorted letters -> indices of the Lyndon words with them
+    for c, w in enumerate(words):
+        blocks.setdefault(sorted_rep(w), []).append(c)
     mats = []
-    for f in basis(n, p):
-        (u,) = f.data
-        entries = tuple((index[v], c, x)
-                        for c, w in enumerate(words) if sorted_rep(w) == u
-                        for v, x in apply_to_lie(f, LieElement(n, p, {w: 1})).items())
-        if entries:
-            mats.append(entries)
+    for u in sorted_words(n, p):  # the order of basis(n, p)
+        if u in blocks:
+            images = _block_action(n, p, blocks, u)
+            mats.extend(images[key] for key in orbit_keys(n, u) if key in images)
     return tuple(mats)
+
+
+def _block_action(n, p, blocks, u):
+    """The entries of each basis element {u: {key: 1}} that has any, by key."""
+    words = lyndon_words(n, p)
+    cols = blocks[u]
+    zero = [0] * len(cols)
+    embedded = {}  # word x -> its coefficient in embed(P_w), per column w
+    for j, c in enumerate(cols):
+        for x, e in embed_monomial(lyndon_bracketing(words[c]))._coeffs.items():
+            embedded.setdefault(x, list(zero))[j] = e
+    # Sorted, the letter pairs (x[t], l[t]) list for each letter a of u the
+    # sorted letters of l where x holds a: their second halves are the key
+    # of (x, l).  A pair (a, b) is coded as a * base + b, so b = code % base.
+    base = n + 1
+    by_code = {}  # pair code -> Lyndon word l -> coefficient of l, per column
+    for x, ex in embedded.items():
+        shifted = [a * base for a in x]
+        for l in words:
+            image = by_code.setdefault(tuple(sorted(map(add, shifted, l))), {})
+            acc = image.get(l)
+            image[l] = ex if acc is None else list(map(add, acc, ex))
+    triangle = _lyndon_triangle(n, p)
+    images = {}
+    for code, image in by_code.items():
+        key = tuple(v % base for v in code)
+        coords = []  # (row, Lyndon coordinate per column), rows increasing
+        for r in blocks[sorted_rep(key)]:
+            l = words[r]
+            v = image.get(l)
+            if v is None or not any(v):
+                continue
+            coords.append((r, v))
+            for m, t in triangle[l]:
+                image[m] = [a - t * b for a, b in zip(image.get(m, zero), v)]
+        entries = tuple((r, c, v[j]) for j, c in enumerate(cols)
+                        for r, v in coords if v[j])
+        if entries:
+            images[key] = entries
+    return images
 
 
 def _act_on_vector(entries, W, vec):

@@ -163,6 +163,8 @@ class IntegerLattice:
                 and all(r[p] == 1 for r, p in zip(self.rows, self._pivot_cols)))
 
     def elementary_divisors(self):
+        if self.full_unimodular():
+            return [1] * self.dim  # Z^dim needs no Smith form
         return snf_with_transforms(self.rows)[0]
 
 

@@ -202,6 +202,8 @@ GENERATION_PINS = {
         "b135b346b51c696e98a994f72e072fa575835a2f70d95bbb814faae521cce71f",
     "generation --n 2 --max-degree 8":
         "5bbc87966f50d49d48fec6db271b9bfbd692cea29377d71c837b6cdbed90250c",
+    "generation --n 2 --max-degree 9":
+        "98428bbceb8a0ec84e262cbbe8ea0f31480a516a192c726e62178f3ae7034b49",
 }
 
 

@@ -15,8 +15,8 @@ from schurlie.derivations import (Derivation, _action_matrices,
 from schurlie.errors import (DimensionMismatch, InvalidArgument,
                              ResourceGuardExceeded)
 from schurlie.freelie import (LieElement, embed, generator, lie_bracket,
-                              lyndon_basis, lyndon_words, normalize,
-                              witt_dimension, zero_lie)
+                              lyndon_basis, lyndon_bracketing, lyndon_words,
+                              normalize, witt_dimension, zero_lie)
 from schurlie.linalg import IntegerLattice, rank
 from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             letter_substitution, orbit_keys)
@@ -128,6 +128,53 @@ def test_leibniz_rule_fuzz():
         rhs = (lie_bracket(apply_derivation(D, a), b)
                + lie_bracket(a, apply_derivation(D, b)))
         assert lhs == rhs
+
+
+def _leibniz_on_tree(D, tree):
+    """Leibniz rule applied node by node down a bracket tree, each subtree
+    normalized and every bracket taken in the free Lie algebra: the oracle
+    for the tensor-algebra evaluation in apply_derivation."""
+    if isinstance(tree, int):
+        return D.image(tree)
+    left, right = tree
+    return (lie_bracket(_leibniz_on_tree(D, left), normalize(D.n, right))
+            + lie_bracket(normalize(D.n, left), _leibniz_on_tree(D, right)))
+
+
+def _leibniz_oracle(D, a):
+    out = zero_lie(D.n, a.degree + D.degree - 1)
+    for w, c in a.items():
+        out = out + _leibniz_on_tree(D, lyndon_bracketing(w)).scale(c)
+    return out
+
+
+def _random_tree(rng, n, degree):
+    """A bracket tree with random letters and a random shape, so most trees
+    are not standard Lyndon bracketings, and some are zero."""
+    if degree == 1:
+        return rng.randint(1, n)
+    split = rng.randint(1, degree - 1)
+    return (_random_tree(rng, n, split), _random_tree(rng, n, degree - split))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_apply_derivation_and_bracket_match_tree_recursion(n):
+    rng = random.Random(40 + n)
+    non_lyndon = 0
+    for _ in range(12):
+        D = _random_derivation(rng, n, rng.randint(1, 4))
+        E = _random_derivation(rng, n, rng.randint(1, 4))
+        for degree in range(1, 6):
+            tree = _random_tree(rng, n, degree)
+            non_lyndon += tree not in lyndon_basis(n, degree)
+            assert apply_derivation(D, tree) == _leibniz_on_tree(D, tree)
+            a = _random_lie(rng, n, degree, terms=3)
+            assert apply_derivation(D, a) == _leibniz_oracle(D, a)
+        expected = Derivation(n, D.degree + E.degree - 1, tuple(
+            _leibniz_oracle(D, E.image(k)) - _leibniz_oracle(E, D.image(k))
+            for k in range(1, n + 1)))
+        assert der_bracket(D, E) == expected
+    assert non_lyndon >= 12
 
 
 def test_der_bracket_degree_and_alternation():
@@ -393,16 +440,19 @@ def test_closure_resource_guard_partial_report():
 
 
 def test_action_matrices_are_the_nonzero_dense_entries():
-    # every column of every basis element, not only its own block
-    for n, p in [(2, 5), (3, 3)]:
+    # apply_to_lie on every column of every basis element, not only its own
+    # block, is the dense oracle; the pair pass must give the same entries,
+    # column by column and row by row within an element, for the elements
+    # of basis(n, p) in basis order with the empty ones left out
+    for n, p in [(2, 5), (3, 3), (3, 4), (2, 8), (4, 3)]:
         words = lyndon_words(n, p)
         dense = []
         for f in basis(n, p):
-            entries = sorted((words.index(v), c, x) for c, w in enumerate(words)
-                             for v, x in apply_to_lie(f, LieElement(n, p, {w: 1})).items())
+            entries = tuple((words.index(v), c, x) for c, w in enumerate(words)
+                            for v, x in apply_to_lie(f, LieElement(n, p, {w: 1})).items())
             if entries:
                 dense.append(entries)
-        assert [sorted(m) for m in _action_matrices(n, p)] == dense
+        assert _action_matrices(n, p) == tuple(dense)
 
 
 def _fixed_point_closure(n, generators, max_degree):
