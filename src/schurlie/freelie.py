@@ -269,7 +269,7 @@ def decompose(n, t):
             raise InvalidArgument(f"letter above rank {n} in {w!r}")
         c = rem[w]
         coords[w] = c
-        for v, cv in embed_monomial(lyndon_bracketing(w)).items():
+        for v, cv in embed_monomial(lyndon_bracketing(w))._coeffs.items():
             newc = rem.get(v, 0) - c * cv
             if newc:
                 rem[v] = newc

@@ -11,6 +11,7 @@ composition read-off, and the brute-force dimension oracle.
 """
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -18,8 +19,9 @@ from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
 from .freelie import LieElement, decompose, embed
 from .words import (TensorElement, _equal_letter_runs, _linear_combination,
-                    act, all_perms, check_word, perm_inverse, perm_sorting_onto,
-                    sorted_rep, sorted_words, stabilizer_orbit_key, words_of)
+                    act, all_perms, check_word, perm_from_cycles,
+                    perm_sorting_onto, sorted_rep, sorted_words,
+                    stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest q for which Sigma_q is enumerated
 
@@ -241,8 +243,12 @@ def orbit_data_of_column(u, col):
             raise InternalInvariantError(
                 f"column at {u!r} is not constant on stabilizer orbits")
         count[key] = count.get(key, 0) + 1
+    # the stabilizer orbit of key has |Stab(u)| / |Stab(u) n Stab(key)|
+    # members, and that intersection permutes the positions of each letter
+    # pair in zip(u, key)
+    stab_u = math.prod(map(math.factorial, Counter(u).values()))
     for key, k in count.items():
-        if len(orbit_sum(u, key)) != k:
+        if stab_u // math.prod(map(math.factorial, Counter(zip(u, key)).values())) != k:
             raise InternalInvariantError(
                 f"column at {u!r} misses part of the orbit of {key!r}")
     return row
@@ -268,22 +274,21 @@ def is_equivariant(colmap, n, q):
     """Whether a column map (word -> tensor, missing = zero) commutes with
     every place permutation.
 
-    Exhaustive over the symmetric group, but only words where either side can
-    be nonzero are visited: for w outside the support whose image under sigma
-    is also outside, both sides vanish identically.
+    Checks the q - 1 adjacent transpositions s_i = (i i+1) only: the
+    permutations that commute with the map form a subgroup, and the s_i
+    generate Sigma_q.  Only words in the support are visited.  For such a
+    word w, M(w.s_i) = M(w).s_i is nonzero, so w.s_i is in the support too;
+    as s_i is an involution, a word outside the support is never sent into
+    it, and there both sides vanish.
     """
     if q > EQUIVARIANCE_GUARD:
         raise ResourceGuardExceeded(f"equivariance check limited to degree {EQUIVARIANCE_GUARD}")
     zero = TensorElement(q)
-    support = {w for w, col in colmap.items() if not col.is_zero()}
-    for sigma in all_perms(q):
+    support = [w for w, col in colmap.items() if not col.is_zero()]
+    for i in range(1, q):
+        s_i = perm_from_cycles([(i, i + 1)], q)
         for w in support:
-            if colmap.get(act(w, sigma), zero) != colmap[w].act(sigma):
-                return False
-        inv = perm_inverse(sigma)
-        for w in support:
-            # M(pre) = 0 while M(sigma(pre)) = M(w) != 0 breaks commutation
-            if act(w, inv) not in support:
+            if colmap.get(act(w, s_i), zero) != colmap[w].act(s_i):
                 return False
     return True
 

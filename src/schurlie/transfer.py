@@ -7,7 +7,13 @@ subgroup in the full symmetric group, of sigma . (f_1 x ... x f_k) . sigma^{-1}
 with the f_i acting blockwise.  The result does not depend on the choice of
 transversal; the canonical one here consists of the minimal-length (shuffle)
 representatives, and a randomized transversal is available for
-well-definedness tests.
+well-definedness tests.  A transversal given by the caller is checked to be
+one.
+
+transfer evaluates the sum on each sorted word u in one loop over the
+transversal: the blocks of u . sigma^{-1} are read straight off u, each
+factor's image of a block word is computed once per call, and the
+concatenated terms are placed by sigma into one coefficient dict.
 """
 
 from itertools import combinations
@@ -15,9 +21,8 @@ from math import factorial, prod
 
 from .errors import DimensionMismatch, InvalidArgument
 from .schur import SchurElement, orbit_data_of_column
-from .words import (TensorElement, _linear_combination, act, check_perm,
-                    perm_compose, perm_inverse, sorted_words, tensor_product,
-                    young_subgroup_of)
+from .words import (TensorElement, _place, check_perm, perm_compose,
+                    sorted_words, young_subgroup_of)
 
 
 def check_composition(parts):
@@ -123,30 +128,40 @@ def transfer(parts, fs, transversal=None):
     if transversal is None:
         transversal = coset_transversal(parts)
     else:
+        transversal = [tuple(sigma) for sigma in transversal]
         for sigma in transversal:
-            if len(check_perm(tuple(sigma))) != d:
+            if len(check_perm(sigma)) != d:
                 raise DimensionMismatch(f"permutation {sigma!r} in a degree-{d} transversal")
+        if not is_left_transversal(transversal, parts):
+            raise InvalidArgument(f"not a left transversal of the Young subgroup of {parts}")
     splits = []
     start = 0
     for a in parts:
         splits.append((start, start + a))
         start += a
-
-    def blockwise(v):
-        """(f_1 x ... x f_k)(v), each factor on its block of v."""
-        piece = TensorElement.from_word(())
-        for (lo, hi), f in zip(splits, fs):
-            piece = tensor_product(piece, f.apply_word(v[lo:hi]))
-        return piece
+    # per factor, its image of each block word met so far, as (word, coeff) pairs
+    images = [{} for _ in fs]
 
     data = {}
     for u in sorted_words(n, d):
-        total = _linear_combination(
-            d, ((1, blockwise(act(u, perm_inverse(sigma))).act(sigma))
-                for sigma in transversal))
-        row = orbit_data_of_column(u, total)
-        if row:
-            data[u] = row
+        coeffs = {}
+        for sigma in transversal:
+            v = tuple([u[s - 1] for s in sigma])  # u . sigma^{-1}
+            terms = [((), 1)]
+            for (lo, hi), f, image_of in zip(splits, fs, images):
+                block = v[lo:hi]
+                image = image_of.get(block)
+                if image is None:
+                    image = image_of[block] = list(f.apply_word(block)._coeffs.items())
+                terms = [(w1 + w2, c1 * c2) for w1, c1 in terms for w2, c2 in image]
+                if not terms:
+                    break
+            for w, c in terms:
+                w = _place(w, sigma)
+                coeffs[w] = coeffs.get(w, 0) + c
+        total = {w: c for w, c in coeffs.items() if c}
+        if total:
+            data[u] = orbit_data_of_column(u, TensorElement._trusted(d, total))
     return SchurElement._trusted(n, d, data)
 
 

@@ -214,6 +214,23 @@ def test_cli_verify_generation_pin(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATION_PINS[command]
 
 
+# the laws suites at degree 6, beyond the benchmark's degree-4 pins: they
+# reach 3-part transfers and equivariance checks at q = 5, 6
+LAWS_PINS = {
+    "star-laws --n 2 --max-degree 6":
+        "b7dbbd3bba289551194b370fc6c5e6e6ed6a54fac35f878a0e6781e92d01ce37",
+    "equivariance --n 2 --max-degree 6":
+        "d750b5cd2c93be7228845ae7e503c6d941543424941facff0430cb20c84e5635",
+}
+
+
+@pytest.mark.parametrize("command", LAWS_PINS)
+def test_cli_verify_laws_pin(capsys, command):
+    assert main(["verify", *command.split(), "--seed", "0", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LAWS_PINS[command]
+
+
 def test_cli_schur_roundtrip(capsys):
     element = json.dumps({"n": 2, "q": 1,
                           "entries": [{"u": "1", "key": "2", "coeff": "1"}]})

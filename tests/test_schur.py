@@ -15,7 +15,7 @@ from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             letter_substitution, orbit_keys,
                             orbit_data_of_column, schur_is_equivariant)
 from schurlie.words import (TensorElement, act, all_perms, letter_class_key,
-                            sorted_words, words_of)
+                            perm_inverse, sorted_words, words_of)
 
 # frozen dimension table C(n^2+q-1, q)
 DIMS = {1: [1, 1, 1, 1, 1], 2: [1, 4, 10, 20, 35], 3: [1, 9, 45, 165, 495]}
@@ -94,6 +94,45 @@ def test_is_equivariant_counterexamples():
     # a single matrix unit does not extend equivariantly
     unit = {(1, 2): TensorElement.from_word((1, 2))}
     assert not is_equivariant(unit, 2, 2)
+
+
+def _is_equivariant_exhaustive(colmap, q):
+    """Reference for is_equivariant: commutation with every sigma in Sigma_q,
+    including that no word outside the support is sent into it."""
+    zero = TensorElement(q)
+    support = {w for w, col in colmap.items() if not col.is_zero()}
+    for sigma in all_perms(q):
+        for w in support:
+            if colmap.get(act(w, sigma), zero) != colmap[w].act(sigma):
+                return False
+        inv = perm_inverse(sigma)
+        for w in support:
+            if act(w, inv) not in support:
+                return False
+    return True
+
+
+def test_is_equivariant_matches_exhaustive_oracle():
+    rng = random.Random(21)
+    verdicts = []
+    for n, q in [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5)]:
+        for _ in range(4):
+            colmap = _rand_element(n, q, rng, entries=3).column_map()
+            # one entry changed
+            changed = dict(colmap)
+            w = rng.choice(sorted(changed))
+            x = tuple(rng.randint(1, n) for _ in range(q))
+            changed[w] = changed[w] + TensorElement(q, {x: rng.choice([-1, 1])})
+            # support cut to the words without letter 1 at position p: still
+            # closed under the place permutations that fix p, so a check of
+            # some generators only can pass it
+            p = rng.randrange(q)
+            restricted = {w: col for w, col in colmap.items() if w[p] != 1}
+            for m in (colmap, changed, restricted):
+                expected = _is_equivariant_exhaustive(m, q)
+                assert is_equivariant(m, n, q) == expected, (n, q, m)
+                verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 def test_is_equivariant_guard():

@@ -93,6 +93,14 @@ def test_transfer_argument_errors():
         transfer((1, 1), [id1, id1], transversal=[(1, 2, 3)])
 
 
+def test_transfer_rejects_non_transversal():
+    # one coset missed, and one coset counted twice
+    id1 = SchurElement.identity(2, 1)
+    for perms in ([(1, 2)], [(1, 2), (2, 1), (1, 2)]):
+        with pytest.raises(InvalidArgument, match="transversal"):
+            transfer((1, 1), [id1, id1], transversal=perms)
+
+
 def test_transfer_transversal_independence():
     rng = random.Random(5)
     for n in (2, 3):
@@ -188,24 +196,28 @@ def test_star_with_zero_factor():
 
 def test_transfer_matches_direct_evaluation_on_all_words():
     # the orbit-form result extends equivariantly; evaluating the defining
-    # sum directly on every basis word (not only the sorted ones) must agree
+    # sum directly on every basis word (not only the sorted ones) must agree,
+    # for every kind of transversal
     from schurlie.words import TensorElement, act, perm_inverse, tensor_product, words_of
     rng = random.Random(19)
-    for n, parts in [(2, (1, 1)), (2, (2, 1)), (3, (1, 2)), (2, (2, 2))]:
+    for n, parts in [(2, (1, 1)), (2, (2, 1)), (3, (1, 2)), (2, (2, 2)),
+                     (3, (1, 1, 1)), (2, (2, 1, 1)), (2, (1, 2, 1))]:
         fs = [_rand_element(n, a, rng) for a in parts]
-        result = transfer(parts, fs)
         d = sum(parts)
-        for u in words_of(n, d):
-            direct = TensorElement(d)
-            for sigma in coset_transversal(parts):
-                v = act(u, perm_inverse(sigma))
-                piece = TensorElement.from_word(())
-                pos = 0
-                for f, a in zip(fs, parts):
-                    piece = tensor_product(piece, f.apply_word(v[pos:pos + a]))
-                    pos += a
-                direct = direct + piece.act(sigma)
-            assert result.apply_word(u) == direct, (n, parts, u)
+        for transversal in (coset_transversal(parts), random_transversal(parts, rng),
+                            transversal_by_product(parts)):
+            result = transfer(parts, fs, transversal=transversal)
+            for u in words_of(n, d):
+                direct = TensorElement(d)
+                for sigma in transversal:
+                    v = act(u, perm_inverse(sigma))
+                    piece = TensorElement.from_word(())
+                    pos = 0
+                    for f, a in zip(fs, parts):
+                        piece = tensor_product(piece, f.apply_word(v[pos:pos + a]))
+                        pos += a
+                    direct = direct + piece.act(sigma)
+                assert result.apply_word(u) == direct, (n, parts, transversal, u)
 
 
 def test_operad_identity_axioms():
