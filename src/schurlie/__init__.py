@@ -3,8 +3,8 @@ tensor powers, free Lie algebras in the Lyndon basis, the derivation Lie
 algebra with its endomorphism action, and the Johnson correspondence for
 basis-conjugating free-group automorphisms.
 
-All arithmetic is exact: integer coefficients throughout, rationals only
-inside the rank engine.  Values are immutable after construction.
+All arithmetic is exact: integer coefficients throughout, ranks included.
+Values are immutable after construction.
 """
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ def _load_schur(text):
             return SchurElement.from_json_dict(json.loads(text))
         with open(text, "r", encoding="utf-8") as fh:
             return SchurElement.from_json_dict(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise SchurlieError(f"cannot read element from {text!r}: {exc}") from exc
 
 

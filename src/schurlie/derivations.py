@@ -53,7 +53,7 @@ from .linalg import IntegerLattice, solve_integer
 from .schur import (SchurElement, apply_to_lie, basis_dimension_formula,
                     orbit_keys)
 from .words import (TensorElement, multidegree, rearrangements, sorted_rep,
-                    sorted_words, stabilizer_orbit_key)
+                    sorted_words)
 
 CLOSURE_BASIS_GUARD = 600  # largest endomorphism basis the engine will sweep
 
@@ -264,8 +264,9 @@ def find_annihilating_schur(n, i, j, u):
     words of key's multidegree.  The right-hand side -fix lives on the
     rearrangements of block_u, so every other block has right-hand side 0
     and is solved by zero coefficients.  Only block_u's own block is built:
-    its rows are the distinct rearrangements of block_u, its columns their
-    canonical keys, and one integer solve over that block does the rest.
+    its rows are the distinct rearrangements of block_u, its columns the keys
+    with block_u's letters, all read off one pass over the pairs
+    (_pair_images), and one integer solve over that block does the rest.
     """
     if i == j:
         raise InvalidArgument("need distinct indices")
@@ -292,10 +293,9 @@ def find_annihilating_schur(n, i, j, u):
             raise InternalInvariantError("the two defining blocks coincide")
 
     word_list = rearrangements(block_u)
-    keys = sorted({stabilizer_orbit_key(block_u, w) for w in word_list})
-    images = [SchurElement._trusted(n, q, {block_u: {key: 1}}).apply(fix)
-              for key in keys]
-    rows = [[img.coeff(w) for img in images] for w in word_list]
+    images = _pair_images(n, {x: [c] for x, c in fix._coeffs.items()}, word_list)
+    keys = sorted(images)
+    rows = [[images[key].get(w, (0,))[0] for key in keys] for w in word_list]
     rhs = [-fix.coeff(w) for w in word_list]
     solution = solve_integer(rows, rhs)
     if solution is None:
@@ -360,21 +360,9 @@ def _block_action(n, p, blocks, u):
     for j, c in enumerate(cols):
         for x, e in embed_monomial(lyndon_bracketing(words[c]))._coeffs.items():
             embedded.setdefault(x, list(zero))[j] = e
-    # Sorted, the letter pairs (x[t], l[t]) list for each letter a of u the
-    # sorted letters of l where x holds a: their second halves are the key
-    # of (x, l).  A pair (a, b) is coded as a * base + b, so b = code % base.
-    base = n + 1
-    by_code = {}  # pair code -> Lyndon word l -> coefficient of l, per column
-    for x, ex in embedded.items():
-        shifted = [a * base for a in x]
-        for l in words:
-            image = by_code.setdefault(tuple(sorted(map(add, shifted, l))), {})
-            acc = image.get(l)
-            image[l] = ex if acc is None else list(map(add, acc, ex))
     triangle = _lyndon_triangle(n, p)
     images = {}
-    for code, image in by_code.items():
-        key = tuple(v % base for v in code)
+    for key, image in _pair_images(n, embedded, words).items():
         coords = []  # (row, Lyndon coordinate per column), rows increasing
         for r in blocks[sorted_rep(key)]:
             l = words[r]
@@ -389,6 +377,23 @@ def _block_action(n, p, blocks, u):
         if entries:
             images[key] = entries
     return images
+
+
+def _pair_images(n, sources, targets):
+    """key -> target l -> the sum of the vectors of the sources x (word ->
+    vector, all x rearrangements of one sorted word u) that {u: {key: 1}}
+    sends onto l, in one pass over the pairs (module docstring).  Sorted,
+    the letter pairs (x[t], l[t]) have the key as their second halves.  A
+    pair (a, b) is coded as a * base + b, so b = code % base."""
+    base = n + 1
+    by_code = {}
+    for x, ex in sources.items():
+        shifted = [a * base for a in x]
+        for l in targets:
+            image = by_code.setdefault(tuple(sorted(map(add, shifted, l))), {})
+            acc = image.get(l)
+            image[l] = ex if acc is None else list(map(add, acc, ex))
+    return {tuple(v % base for v in code): image for code, image in by_code.items()}
 
 
 def _act_on_vector(entries, W, vec):

@@ -1,10 +1,11 @@
-"""Exact dense linear algebra over the rationals and the integers.
+"""Exact dense linear algebra over the integers, plus a rational oracle.
 
-Everything in this package stays well under a few hundred rows and columns,
-so the implementations favour clarity: fraction-based Gauss elimination for
-rational ranks, nullspaces and solves, plus an incremental integer row
-echelon (Hermite-style) lattice and a Smith normal form for saturation
-checks and divisibility-aware solving.
+The engines use integers only: an incremental integer row echelon
+(Hermite-style) lattice for ranks and saturation checks, and a Smith normal
+form with transforms for divisibility-aware solving.  The fraction-based
+rref, rank and nullspace are not called by the package; they are kept as
+independent oracles for the tests.  Everything stays well under a few
+hundred rows and columns, so the implementations favour clarity.
 """
 
 from fractions import Fraction
@@ -58,21 +59,6 @@ def nullspace(rows):
             v[p] = -row[f]
         basis.append(v)
     return basis
-
-
-def solve(rows, rhs):
-    """One rational solution of rows*x = rhs (free variables zero), or None."""
-    if not rows:
-        return None
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    cols = len(rows[0])
-    if cols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ as in ``[[,],]``; the empty string is the single leaf.
 
 import re
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument, ParseError
+from .errors import (DimensionMismatch, IndexOutOfRange, InvalidArgument,
+                     ParseError, ResourceGuardExceeded)
 from .freelie import LEAF, lie_bracket, generator
 from .words import TensorElement, check_perm, perm_from_cycles, tensor_product
 
@@ -201,10 +202,11 @@ def eval_lie(ast, n):
 # group words, permutations, shapes
 
 _GROUP_TOKEN = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
+GROUP_WORD_GUARD = 100_000  # longest expanded group word the parser builds
 
 
 def parse_group_word(text):
-    letters = []
+    factors = []
     for piece in text.split():
         m = _GROUP_TOKEN.match(piece)
         if m is None:
@@ -213,8 +215,14 @@ def parse_group_word(text):
         power = int(m.group(2)) if m.group(2) else 1
         if index < 1:
             raise InvalidArgument(f"generator index must be >= 1, got {index}")
-        letter = index if power > 0 else -index
-        letters.extend([letter] * abs(power))
+        factors.append((index if power > 0 else -index, abs(power)))
+    size = sum(count for _, count in factors)
+    if size > GROUP_WORD_GUARD:
+        raise ResourceGuardExceeded(
+            f"group word expands to {size} letters, above {GROUP_WORD_GUARD}")
+    letters = []
+    for letter, count in factors:
+        letters.extend([letter] * count)
     from .freegroup import reduce_word
     return reduce_word(letters)
 

@@ -6,8 +6,9 @@ of u.  We therefore store, per sorted word u, one integer coefficient per
 stabilizer-orbit key (see words.stabilizer_orbit_key); f extends to every
 word w = u.sigma by f(w) = f(u).sigma, independently of the chosen sigma.
 
-The dense matrix of an element is materialized only for equivariance checks,
-composition read-off, and the brute-force dimension oracle.
+Word-by-word column maps are built only for equivariance checks, over the
+support of an element; the brute-force dimension oracle and
+decompose_in_basis alone scan all n^q words.
 """
 
 import math
@@ -20,8 +21,8 @@ from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
 from .freelie import LieElement, decompose, embed
 from .words import (TensorElement, _equal_letter_runs, _linear_combination,
                     act, all_perms, check_word, perm_from_cycles,
-                    perm_sorting_onto, sorted_rep, sorted_words,
-                    stabilizer_orbit_key, words_of)
+                    perm_sorting_onto, rearrangements, sorted_rep,
+                    sorted_words, stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest q for which Sigma_q is enumerated
 
@@ -38,8 +39,10 @@ def orbit_sum(u, key):
 
 @lru_cache(maxsize=None)
 def orbit_keys(n, u):
-    """All stabilizer-orbit keys for the sorted word u, lexicographic."""
-    return tuple(sorted({stabilizer_orbit_key(u, w) for w in words_of(n, len(u))}))
+    """All stabilizer-orbit keys for the sorted word u, lexicographic: one
+    weakly increasing word over 1..n per run of equal letters of u."""
+    runs = (sorted_words(n, j - i) for i, j in _equal_letter_runs(u))
+    return tuple(sum(pieces, ()) for pieces in product(*runs))
 
 
 class SchurElement:
@@ -62,6 +65,8 @@ class SchurElement:
             cleanrow = {}
             for key, c in row.items():
                 key = check_word(key)
+                if key and max(key) > n:
+                    raise InvalidArgument(f"letter above rank {n} in key {key!r}")
                 if stabilizer_orbit_key(u, key) != key:
                     raise InvalidArgument(
                         f"{key!r} is not the canonical orbit key for {u!r}")
@@ -189,13 +194,9 @@ class SchurElement:
                                             for w, c in t._coeffs.items()))
 
     def column_map(self):
-        """Dense column map over all basis words (word -> image tensor)."""
-        out = {}
-        for w in words_of(self.n, self.q):
-            img = self.apply_word(w)
-            if not img.is_zero():
-                out[w] = img
-        return out
+        """Column map over the basis words with a nonzero image (word ->
+        image tensor): the rearrangements of the sorted words in data."""
+        return {w: self.apply_word(w) for u in self.data for w in rearrangements(u)}
 
     def compose(self, other):
         """Endomorphism composition self after other, back in orbit form."""
@@ -221,16 +222,49 @@ class SchurElement:
 
     @classmethod
     def from_json_dict(cls, payload):
-        def word_of(text):
-            return tuple(int(a) for a in text.split(".")) if text else ()
+        """Read to_json_dict's format back; a malformed field raises
+        InvalidArgument.  A coefficient is an int or a decimal string."""
+        if not isinstance(payload, dict):
+            raise InvalidArgument("an element is a JSON object")
+        n, q, entries = payload.get("n"), payload.get("q"), payload.get("entries")
+        for name, value, low in (("n", n, 1), ("q", q, 0)):
+            if type(value) is not int or value < low:
+                raise InvalidArgument(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(entries, list):
+            raise InvalidArgument(f"entries must be a list, got {entries!r}")
         data = {}
-        for entry in payload["entries"]:
-            u = word_of(entry["u"])
-            data.setdefault(u, {})[word_of(entry["key"])] = int(entry["coeff"])
-        return cls(payload["n"], payload["q"], data)
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise InvalidArgument(f"an entry is a JSON object, got {entry!r}")
+            u, key = _json_word(entry.get("u")), _json_word(entry.get("key"))
+            row = data.setdefault(u, {})
+            if key in row:
+                raise InvalidArgument(f"repeated entry for u {u!r}, key {key!r}")
+            row[key] = _json_int(entry.get("coeff"), "coeff")
+        return cls(n, q, data)
 
     def __repr__(self):
         return f"SchurElement(n={self.n}, q={self.q}, entries={sum(map(len, self.data.values()))})"
+
+
+def _json_word(text):
+    """A dot-separated word such as "1.2.2"; the empty string is ()."""
+    if not isinstance(text, str):
+        raise InvalidArgument(f"a word is a string, got {text!r}")
+    if not text:
+        return ()
+    return tuple(_json_int(a, f"a letter of {text!r}") for a in text.split("."))
+
+
+def _json_int(value, what):
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvalidArgument(f"{what} must be an integer or a decimal string, got {value!r}")
 
 
 def orbit_data_of_column(u, col):

@@ -180,36 +180,24 @@ def perm_sorting_onto(u, w):
     return tuple([t + 1 for t in sorted(range(len(w)), key=w.__getitem__)])
 
 
-def letter_class_key(u, w):
-    """Canonical form of w under the subgroup of Sigma_q stabilizing u.
-
-    The stabilizer permutes, for each letter value, the positions of u
-    carrying that value; its orbit on w is the set of words obtained by
-    rearranging the letters of w within each such position class.  Sorting
-    within every class gives a canonical representative.  Works for
-    arbitrary u; see stabilizer_orbit_key for the sorted-u entry point.
-    """
-    if len(u) != len(w):
-        raise DimensionMismatch(f"words of lengths {len(u)} and {len(w)}")
-    classes = {}
-    for t, letter in enumerate(u):
-        classes.setdefault(letter, []).append(t)
-    out = [0] * len(w)
-    for positions in classes.values():
-        for t, letter in zip(positions, sorted(w[t] for t in positions)):
-            out[t] = letter
-    return tuple(out)
-
-
 def stabilizer_orbit_key(u, w):
-    """letter_class_key for weakly increasing u (per-block sorting).
+    """Canonical form of w under the stabilizer of the weakly increasing u.
+
+    The stabilizer permutes the positions of each run of equal letters of u,
+    so its orbit on w rearranges the letters of w within each run.  Sorted,
+    the letter pairs (u[t], w[t]) list for each letter of u the sorted
+    letters of w at its positions: their second halves are the key, and
+    their first halves equal u exactly when u is weakly increasing.
 
     >>> stabilizer_orbit_key((1, 1, 2), (3, 1, 2))
     (1, 3, 2)
     """
-    if tuple(sorted(u)) != tuple(u):
+    if len(u) != len(w):
+        raise DimensionMismatch(f"words of lengths {len(u)} and {len(w)}")
+    pairs = sorted(zip(u, w))
+    if tuple(a for a, _ in pairs) != tuple(u):
         raise InvalidArgument(f"stabilizer key needs a weakly increasing word, got {u!r}")
-    return letter_class_key(u, w)
+    return tuple(b for _, b in pairs)
 
 
 def _equal_letter_runs(u):

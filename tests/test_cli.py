@@ -214,6 +214,23 @@ def test_cli_verify_generation_pin(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATION_PINS[command]
 
 
+# the annihilate-and-fix solver beyond the benchmark's sizes, pinned to the
+# output of the solver that applied one basis element per orbit key
+LEMMA425_PINS = {
+    "lemma425 --n 3 --max-degree 4":
+        "f62c355ff7015296d2a2a43403255b0d1a3f602d2ed799b48bf575ea4261162d",
+    "lemma425 --n 2 --max-degree 7":
+        "33f731ae3a47718843f7576e7deac9f4d82f41d31c6362bf8acf2ce98375315f",
+}
+
+
+@pytest.mark.parametrize("command", LEMMA425_PINS)
+def test_cli_verify_lemma425_pin(capsys, command):
+    assert main(["verify", *command.split(), "--seed", "0", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LEMMA425_PINS[command]
+
+
 # the laws suites at degree 6, beyond the benchmark's degree-4 pins: they
 # reach 3-part transfers and equivariance checks at q = 5, 6
 LAWS_PINS = {
@@ -269,6 +286,43 @@ def test_cli_bad_element_json_exit_two(capsys):
     assert main(["star", "--left", "{broken", "--right", "{}"]) == 2
 
 
+def _entry(u="1", key="1", coeff="1"):
+    return {"u": u, "key": key, "coeff": coeff}
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 2, "q": 1, "entries": [_entry(key="3")]},
+    {"n": "2", "q": 1, "entries": [_entry()]},
+    {"n": True, "q": 1, "entries": [_entry()]},
+    {"n": 0, "q": 1, "entries": []},
+    {"n": 2, "q": -1, "entries": []},
+    {"n": 2, "q": 1.0, "entries": [_entry()]},
+    {"n": 2, "q": 1},
+    {"n": 2, "q": 1, "entries": {"u": "1"}},
+    {"n": 2, "q": 1, "entries": [5]},
+    {"n": 2, "q": 1, "entries": [_entry(u=1)]},
+    {"n": 2, "q": 1, "entries": [_entry(key=None)]},
+    {"n": 2, "q": 1, "entries": [_entry(u="1.x")]},
+    {"n": 2, "q": 1, "entries": [_entry(coeff=1.5)]},
+    {"n": 2, "q": 1, "entries": [_entry(coeff=True)]},
+    {"n": 2, "q": 1, "entries": [_entry(coeff="1.5")]},
+    {"n": 2, "q": 1, "entries": [_entry(coeff="1"), _entry(coeff="2")]},
+], ids=lambda payload: json.dumps(payload))
+def test_cli_rejects_malformed_element(capsys, payload):
+    assert main(["schur-apply", "--element", json.dumps(payload), "--input", "x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_element_coefficient_forms(capsys):
+    # an int or a decimal string is a coefficient
+    for coeff in (3, "3"):
+        element = json.dumps({"n": 2, "q": 1, "entries": [_entry(key="2", coeff=coeff)]})
+        assert main(["schur-apply", "--element", element, "--input", "x1"]) == 0
+        assert "tensor: 3*x2\n" in capsys.readouterr().out
+
+
 def test_cli_transfer(capsys):
     ident = json.dumps({"n": 2, "q": 1, "entries": [
         {"u": "1", "key": "1", "coeff": "1"}, {"u": "2", "key": "2", "coeff": "1"}]})
@@ -285,6 +339,15 @@ def test_cli_magnus(capsys):
     coeffs = {tuple(t["word"]): t["coeff"] for t in payload["terms"]}
     assert coeffs == {(): 1, (1, 2): 1, (2, 1): -1}
     assert main(["magnus", "x1", "--degree", "9"]) == 2
+
+
+def test_cli_magnus_refuses_long_word(capsys):
+    # refused before the factor is expanded into a list of letters
+    assert main(["magnus", "x1 x2^100001", "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "100002 letters" in captured.err
+    assert main(["magnus", "x2^100000", "--degree", "2", "--json"]) == 0
 
 
 def test_cli_generation_guard_exit_two(capsys):

@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurlie import derivations
 from schurlie.derivations import (Derivation, _action_matrices,
                                   apply_derivation, commutator_derivation,
                                   conjugating_derivation, der_bracket,
@@ -20,7 +21,8 @@ from schurlie.freelie import (LieElement, embed, generator, lie_bracket,
 from schurlie.linalg import IntegerLattice, rank
 from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             letter_substitution, orbit_keys)
-from schurlie.words import multidegree, sorted_rep, sorted_words, words_of
+from schurlie.words import (multidegree, rearrangements, sorted_rep,
+                            sorted_words, stabilizer_orbit_key, words_of)
 
 
 def _random_lie(rng, n, p, terms=2):
@@ -395,6 +397,36 @@ def test_find_annihilating_schur_solves_full_system(n, max_k):
                     assert set(h.data) <= {block_u}
                     x = [h.coeff(block_u, key) for key in keys]
                     assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
+
+
+@pytest.mark.parametrize("n, max_k", [(3, 4), (2, 7), (4, 3)])
+def test_find_annihilating_schur_block_matrix(monkeypatch, n, max_k):
+    # the pair pass builds the same block system, cell for cell, as applying
+    # {block_u: {key: 1}} to fix once per key, with the keys sorted
+    systems = []
+    solve_integer = derivations.solve_integer
+
+    def recording_solve(rows, rhs):
+        systems.append((rows, rhs))
+        return solve_integer(rows, rhs)
+
+    monkeypatch.setattr(derivations, "solve_integer", recording_solve)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            for k in range(2, max_k + 1):
+                for tree in lyndon_basis(n, k):
+                    find_annihilating_schur(n, i, j, tree)
+                    fix = embed(lie_bracket(generator(n, i), normalize(n, tree)))
+                    block_u = sorted_rep(fix.support()[0])
+                    words = rearrangements(block_u)
+                    keys = sorted({stabilizer_orbit_key(block_u, w) for w in words})
+                    images = [SchurElement(n, fix.degree, {block_u: {key: 1}}).apply(fix)
+                              for key in keys]
+                    rows = [[img.coeff(w) for img in images] for w in words]
+                    rhs = [-fix.coeff(w) for w in words]
+                    assert systems.pop() == (rows, rhs)
 
 
 def test_find_annihilating_schur_rejects_degree_one():

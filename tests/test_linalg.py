@@ -1,11 +1,10 @@
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from schurlie.linalg import (IntegerLattice, nullspace, rank, rref,
-                             snf_with_transforms, solve, solve_integer)
+                             snf_with_transforms, solve_integer)
 
 
 def _det(rows):
@@ -35,14 +34,6 @@ def test_nullspace():
     v = basis[0]
     for row in rows:
         assert sum(a * b for a, b in zip(row, v)) == 0
-
-
-def test_solve_rational():
-    rows = [[2, 0], [0, 4]]
-    assert solve(rows, [1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
-    assert solve([[1, 1], [1, 1]], [0, 1]) is None
-    x = solve([[1, 1]], [3])
-    assert x == [Fraction(3), Fraction(0)]  # free variable pinned to zero
 
 
 def test_smith_normal_form_classic():

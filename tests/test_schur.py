@@ -14,8 +14,8 @@ from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             equivariant_basis_bruteforce, is_equivariant,
                             letter_substitution, orbit_keys,
                             orbit_data_of_column, schur_is_equivariant)
-from schurlie.words import (TensorElement, act, all_perms, letter_class_key,
-                            perm_inverse, sorted_words, words_of)
+from schurlie.words import (TensorElement, act, all_perms, perm_inverse,
+                            sorted_words, stabilizer_orbit_key, words_of)
 
 # frozen dimension table C(n^2+q-1, q)
 DIMS = {1: [1, 1, 1, 1, 1], 2: [1, 4, 10, 20, 35], 3: [1, 9, 45, 165, 495]}
@@ -57,10 +57,28 @@ def test_from_orbit_data_validation():
         SchurElement.from_json_dict({"n": 2, "q": 2, "entries": [
             {"u": "1.1", "key": "2.1", "coeff": "1"}]})
     with pytest.raises(InvalidArgument):
+        SchurElement.from_json_dict([5])
+    with pytest.raises(InvalidArgument):
         # letters are positive: a zero in the key or in u is rejected
         SchurElement.from_orbit_data(2, 2, {(1, 2): {(0, 2): 1}})
     with pytest.raises(InvalidArgument):
         SchurElement.from_orbit_data(2, 2, {(0, 1): {(0, 1): 1}})
+    with pytest.raises(InvalidArgument, match="above rank 2"):
+        # a key letter above the rank is no basis word
+        SchurElement.from_orbit_data(2, 1, {(1,): {(3,): 1}})
+    with pytest.raises(InvalidArgument, match="above rank 2"):
+        letter_substitution(2, 1, (3, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_keys_match_word_scan(n):
+    # the keys generated run by run are the canonical forms of all n^q words
+    for q in range(0, 7):
+        if n ** q > 5000:
+            break
+        for u in sorted_words(n, q):
+            scan = sorted({stabilizer_orbit_key(u, w) for w in words_of(n, q)})
+            assert list(orbit_keys(n, u)) == scan
 
 
 def test_apply_degree_mismatch():
@@ -257,7 +275,7 @@ def test_apply_to_lie_orbit_form():
             # coefficients are constant along the stabilizer classes of u
             seen = {}
             for v, c in col.items():
-                key = letter_class_key(u, v)
+                key = tuple(sorted(zip(u, v)))
                 assert seen.setdefault(key, c) == c
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from schurlie.errors import DimensionMismatch, InvalidArgument
 from schurlie.words import (TensorElement, act, all_perms, format_perm,
-                            identity_perm, letter_class_key, multidegree,
+                            identity_perm, multidegree,
                             orbit, perm_compose, perm_from_cycles,
                             perm_inverse, perm_sorting_onto, rearrangements,
                             sorted_rep, sorted_words, stabilizer_orbit_key,
@@ -135,6 +135,12 @@ def test_stabilizer_orbit_key_requires_sorted():
         stabilizer_orbit_key((2, 1), (1, 2))
 
 
+def test_stabilizer_orbit_key_rejects_length_mismatch():
+    # zip would silently drop the unmatched position
+    with pytest.raises(DimensionMismatch):
+        stabilizer_orbit_key((1, 1), (1,))
+
+
 def test_stabilizer_orbit_key_matches_bruteforce():
     # key equality must agree with membership in the same stabilizer orbit
     for n in (2, 3):
@@ -148,11 +154,6 @@ def test_stabilizer_orbit_key_matches_bruteforce():
                     key = stabilizer_orbit_key(u, w)
                     assert key in orb
                     assert all(stabilizer_orbit_key(u, v) == key for v in orb)
-
-
-def test_letter_class_key_general_position():
-    # the unsorted variant groups positions by letter value
-    assert letter_class_key((2, 1, 2), (3, 1, 1)) == (1, 1, 3)
 
 
 def test_rearrangements_match_permutations():
