@@ -12,14 +12,15 @@ import sys
 import time
 
 from . import __version__
-from .errors import ResourceGuardExceeded, SchurlieError
+from .errors import InvalidArgument, ResourceGuardExceeded, SchurlieError
 from .derivations import Derivation, der_bracket, schur_act
 from .freelie import bracketing_function
-from .parsing import (check_rank, eval_lie, eval_tensor, format_lie,
-                      format_tensor, parse_expression, parse_shape)
+from .parsing import (check_rank, eval_lie, eval_tensor, format_tensor,
+                      max_generator, parse_expression, parse_shape)
 from .schur import SchurElement, basis
 from .suites import SUITES
 from .transfer import operad_compose, star
+from .words import read_int
 
 
 def _load_schur(text):
@@ -51,9 +52,7 @@ def _parse_images(text, n):
         if piece == "0":
             parsed.append(None)
         else:
-            ast = parse_expression(piece)
-            check_rank(ast, n)
-            parsed.append(eval_lie(ast, n))
+            parsed.append(eval_lie(parse_expression(piece), n))
     degrees = {e.degree for e in parsed if e is not None}
     if not degrees:
         raise SchurlieError("all images are zero; the degree cannot be inferred")
@@ -66,11 +65,10 @@ def _parse_images(text, n):
 
 def _derivation_payload(D):
     return {"n": D.n, "degree": D.degree, "degree_doubled": 2 * D.degree,
-            "images": [format_lie(img) for img in D.images]}
+            "images": [str(img) for img in D.images]}
 
 
 def _infer_rank(args, ast):
-    from .parsing import max_generator
     if args.n is not None:
         check_rank(ast, args.n)
         return args.n
@@ -186,7 +184,7 @@ def _dispatch(args):
         n = _infer_rank(args, ast)
         elem = eval_lie(ast, n)
         _emit({"n": n, "degree": elem.degree, "degree_doubled": 2 * elem.degree,
-               "normalized": format_lie(elem)}, args.json)
+               "normalized": str(elem)}, args.json)
         return 0
 
     if args.command == "embed":
@@ -245,10 +243,9 @@ def _dispatch(args):
     if args.command == "transfer":
         from .transfer import transfer
         try:
-            parts = tuple(int(a) for a in args.parts.split(","))
-        except ValueError:
-            print(f"error: --parts wants integers, got {args.parts!r}", file=sys.stderr)
-            return 2
+            parts = tuple(read_int(a, "--parts entry") for a in args.parts.split(","))
+        except InvalidArgument:
+            raise SchurlieError(f"--parts wants integers, got {args.parts!r}") from None
         fs = [_load_schur(piece) for piece in args.factors]
         print(json.dumps(transfer(parts, fs).to_json_dict(), sort_keys=True))
         return 0
@@ -257,9 +254,7 @@ def _dispatch(args):
         from .freegroup import MAGNUS_TRUNCATION_GUARD, magnus
         from .parsing import parse_group_word
         if not 1 <= args.degree <= MAGNUS_TRUNCATION_GUARD:
-            print(f"error: --degree must be in 1..{MAGNUS_TRUNCATION_GUARD}",
-                  file=sys.stderr)
-            return 2
+            raise SchurlieError(f"--degree must be in 1..{MAGNUS_TRUNCATION_GUARD}")
         series = magnus(parse_group_word(args.word), args.degree)
         terms = [{"word": list(w), "coeff": c} for w, c in series.items()]
         if args.json:
@@ -287,13 +282,12 @@ def _dispatch(args):
         from .freegroup import classify_pair
         try:
             first_text, second_text = args.pair.split(":")
-            first = tuple(int(a) for a in first_text.split(","))
-            second = tuple(int(a) for a in second_text.split(","))
+            first = tuple(read_int(a, "--pair entry") for a in first_text.split(","))
+            second = tuple(read_int(a, "--pair entry") for a in second_text.split(","))
             if len(first) != 2 or len(second) != 2:
                 raise ValueError
         except ValueError:
-            print(f"error: --pair wants i,j:i',j', got {args.pair!r}", file=sys.stderr)
-            return 2
+            raise SchurlieError(f"--pair wants i,j:i',j', got {args.pair!r}") from None
         result = classify_pair(args.n, first, second, args.depth)
         if args.json:
             print(json.dumps(result, sort_keys=True))

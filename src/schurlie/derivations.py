@@ -326,8 +326,8 @@ def derivation_from_vector(n, degree, vec):
     W = len(words)
     images = []
     for block in range(n):
-        coeffs = {w: vec[block * W + t] for t, w in enumerate(words)}
-        images.append(LieElement(n, degree, coeffs))
+        coeffs = {w: c for w, c in zip(words, vec[block * W:(block + 1) * W]) if c}
+        images.append(LieElement._trusted(n, degree, coeffs))
     return Derivation(n, degree, images)
 
 

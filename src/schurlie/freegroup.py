@@ -25,6 +25,7 @@ from .freelie import decompose
 from .words import TensorElement
 
 MAGNUS_TRUNCATION_GUARD = 6  # series size grows like n^degree
+MCCOOL_RANK_GUARD = 5  # the relation families have O(n^4) instances
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +149,25 @@ class AutPair:
         self.fwd = fwd
         self.inv = inv
 
+    @classmethod
+    def _trusted(cls, fwd, inv):
+        """Pair fwd with inv as is: inv is known to be fwd's inverse."""
+        self = cls.__new__(cls)
+        self.fwd = fwd
+        self.inv = inv
+        return self
+
     def inverse(self):
-        return AutPair(self.inv, self.fwd)
+        return AutPair._trusted(self.inv, self.fwd)
 
     def __mul__(self, other):
-        return AutPair(self.fwd * other.fwd, other.inv * self.inv)
+        return AutPair._trusted(self.fwd * other.fwd, other.inv * self.inv)
 
     def commutator(self, other):
         """[a, b] = a^{-1} b^{-1} a b as an AutPair."""
         fwd = self.inv * other.inv * self.fwd * other.fwd
         inv = other.inv * self.inv * other.fwd * self.fwd
-        return AutPair(fwd, inv)
+        return AutPair._trusted(fwd, inv)
 
 
 def _check_pair_indices(n, i, j):
@@ -195,14 +204,15 @@ def commutator_auto(n, i, s, t):
 # ---------------------------------------------------------------------------
 # the McCool presentation
 
-def verify_mccool(n, guard=5):
+def verify_mccool(n):
     """Check every instance of the four relation families at rank n.
 
     Also records the composition-order cross check: with the opposite order
     the three-term family must fail somewhere (at rank >= 3).
     """
-    if n > guard:
-        raise ResourceGuardExceeded(f"relation check guarded at rank {guard}")
+    if n > MCCOOL_RANK_GUARD:
+        raise ResourceGuardExceeded(
+            f"relation check guarded at rank {MCCOOL_RANK_GUARD}")
     chi = {(i, j): conjugating_auto(n, i, j)
            for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
     instances = []
@@ -341,7 +351,7 @@ def magnus(w, truncation):
 # ---------------------------------------------------------------------------
 # the Johnson correspondence
 
-def johnson_image(alpha, m, guard=MAGNUS_TRUNCATION_GUARD):
+def johnson_image(alpha, m):
     """The degree-(m+1) derivation attached to an automorphism at depth m.
 
     Requires x_i^{-1} alpha(x_i) to expand with no terms in degrees 1..m
@@ -353,8 +363,9 @@ def johnson_image(alpha, m, guard=MAGNUS_TRUNCATION_GUARD):
         alpha = alpha.fwd
     if m < 1:
         raise InvalidArgument("filtration depth must be >= 1")
-    if m + 1 > guard:
-        raise ResourceGuardExceeded(f"Magnus truncation {m + 1} above guard {guard}")
+    if m + 1 > MAGNUS_TRUNCATION_GUARD:
+        raise ResourceGuardExceeded(
+            f"Magnus truncation {m + 1} above guard {MAGNUS_TRUNCATION_GUARD}")
     n = alpha.n
     images = []
     for i in range(1, n + 1):

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidArgument, InternalInvariantError
 from .words import (TensorElement, _linear_combination, check_perm, check_word,
-                    format_perm, perm_inverse, tensor_product)
+                    format_perm, format_terms, perm_inverse, tensor_product)
 
 LEAF = None  # leaf marker inside bracket shapes
 
@@ -216,16 +216,8 @@ class LieElement:
                 f"mixing degrees {self.degree} and {other.degree}")
 
     def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for w, c in self.items():
-            text = monomial_str(lyndon_bracketing(w))
-            if abs(c) != 1:
-                text = f"{abs(c)}*{text}"
-            parts.append(("- " if c < 0 else "+ ") + text)
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+        return format_terms(self.items(),
+                            lambda w: monomial_str(lyndon_bracketing(w)))
 
     __repr__ = __str__
 
@@ -431,16 +423,7 @@ class GroupRingElement:
                                    ((c, t.act(p)) for p, c in self._coeffs.items()))
 
     def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for p, c in self.items():
-            text = format_perm(p)
-            if abs(c) != 1:
-                text = f"{abs(c)}*{text}"
-            parts.append(("- " if c < 0 else "+ ") + text)
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+        return format_terms(self.items(), format_perm)
 
     __repr__ = __str__
 

@@ -131,18 +131,6 @@ class IntegerLattice:
             grew = True
         return grew
 
-    def contains(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self._pivot_cols):
-            if any(v[: p]):
-                return False
-            if v[p]:
-                if v[p] % row[p]:
-                    return False
-                f = v[p] // row[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return not any(v)
-
     def full_unimodular(self):
         """True when the lattice is all of Z^dim."""
         return (len(self.rows) == self.dim

@@ -18,8 +18,9 @@ import re
 
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidArgument,
                      ParseError, ResourceGuardExceeded)
-from .freelie import LEAF, lie_bracket, generator
-from .words import TensorElement, check_perm, perm_from_cycles, tensor_product
+from .freelie import LEAF, decompose
+from .words import (TensorElement, check_perm, format_terms, perm_from_cycles,
+                    read_int, tensor_product)
 
 _TOKEN = re.compile(r"x\d+|\d+|\[|\]|[+\-*.,]")
 
@@ -91,7 +92,7 @@ def _parse_term(toks):
     if tok is not None and tok.isdigit():
         toks.next()
         toks.expect("*")
-        return ("scale", int(tok), _parse_dotted(toks))
+        return ("scale", read_int(tok, "scale", col), _parse_dotted(toks))
     return _parse_dotted(toks)
 
 
@@ -113,7 +114,7 @@ def _parse_factor(toks):
     if tok is None:
         raise ParseError("expected a generator or '['", col)
     if tok.startswith("x"):
-        index = int(tok[1:])
+        index = read_int(tok[1:], "generator index", col)
         if index < 1:
             raise ParseError(f"generator index must be >= 1, got {index}", col)
         return ("gen", index)
@@ -126,19 +127,27 @@ def _parse_factor(toks):
     raise ParseError(f"expected a generator or '[', found {tok!r}", col)
 
 
-def max_generator(ast):
+def _nodes(ast):
+    """Every node of an expression tree, the root first."""
+    yield ast
     kind = ast[0]
-    if kind == "gen":
-        return ast[1]
     if kind == "bracket":
-        return max(max_generator(ast[1]), max_generator(ast[2]))
-    if kind == "tensor":
-        return max(max_generator(e) for e in ast[1])
-    if kind == "scale":
-        return max_generator(ast[2])
-    if kind == "sum":
-        return max(max_generator(e) for _, e in ast[1])
-    raise InvalidArgument(f"unknown node {kind!r}")
+        yield from _nodes(ast[1])
+        yield from _nodes(ast[2])
+    elif kind == "tensor":
+        for e in ast[1]:
+            yield from _nodes(e)
+    elif kind == "scale":
+        yield from _nodes(ast[2])
+    elif kind == "sum":
+        for _, e in ast[1]:
+            yield from _nodes(e)
+    elif kind != "gen":
+        raise InvalidArgument(f"unknown node {kind!r}")
+
+
+def max_generator(ast):
+    return max(node[1] for node in _nodes(ast) if node[0] == "gen")
 
 
 def check_rank(ast, n):
@@ -176,26 +185,15 @@ def eval_tensor(ast, n):
 
 
 def eval_lie(ast, n):
-    """Evaluate to a Lie element; tensor nodes are rejected."""
-    kind = ast[0]
-    if kind == "gen":
-        return generator(n, ast[1])
-    if kind == "bracket":
-        return lie_bracket(eval_lie(ast[1], n), eval_lie(ast[2], n))
-    if kind == "tensor":
+    """Evaluate to a Lie element; tensor nodes are rejected.
+
+    The embedding into the tensor algebra is an injective Lie morphism, so
+    the Lyndon coordinates of the tensor expansion are the element's.
+    """
+    check_rank(ast, n)
+    if any(node[0] == "tensor" for node in _nodes(ast)):
         raise InvalidArgument("'.' products are tensors, not Lie elements")
-    if kind == "scale":
-        return eval_lie(ast[2], n).scale(ast[1])
-    if kind == "sum":
-        parts = [eval_lie(e, n).scale(s) for s, e in ast[1]]
-        degrees = {p.degree for p in parts}
-        if len(degrees) != 1:
-            raise DimensionMismatch(f"sum mixes degrees {sorted(degrees)}")
-        out = parts[0]
-        for p in parts[1:]:
-            out = out + p
-        return out
-    raise InvalidArgument(f"unknown node {kind!r}")
+    return decompose(n, eval_tensor(ast, n))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +209,8 @@ def parse_group_word(text):
         m = _GROUP_TOKEN.match(piece)
         if m is None:
             raise InvalidArgument(f"bad group-word factor {piece!r}")
-        index = int(m.group(1))
-        power = int(m.group(2)) if m.group(2) else 1
+        index = read_int(m.group(1), "generator index")
+        power = read_int(m.group(2), "exponent") if m.group(2) else 1
         if index < 1:
             raise InvalidArgument(f"generator index must be >= 1, got {index}")
         factors.append((index if power > 0 else -index, abs(power)))
@@ -242,7 +240,8 @@ def parse_permutation(text, size=None):
         body = text[1:-1] if text.endswith("]") else None
         if body is None:
             raise InvalidArgument(f"unclosed one-line permutation {text!r}")
-        images = tuple(int(a) for a in body.split(",") if a.strip())
+        images = tuple(read_int(a, "permutation entry")
+                       for a in body.split(",") if a.strip())
         return check_perm(images)
     cycles = []
     rest = text
@@ -255,7 +254,8 @@ def parse_permutation(text, size=None):
         close = rest.index(")") if ")" in rest else None
         if close is None:
             raise InvalidArgument(f"unclosed cycle in {text!r}")
-        entries = tuple(int(a) for a in rest[1:close].replace(",", " ").split())
+        entries = tuple(read_int(a, "permutation entry")
+                        for a in rest[1:close].replace(",", " ").split())
         cycles.append(entries)
         rest = rest[close + 1:]
     q = size if size is not None else max((max(c) for c in cycles if c), default=0)
@@ -292,18 +292,5 @@ def parse_shape(text):
 # ---------------------------------------------------------------------------
 # formatters
 
-def format_lie(elem):
-    return str(elem)
-
-
 def format_tensor(t):
-    if t.is_zero():
-        return "0"
-    parts = []
-    for w, c in t.items():
-        text = ".".join(f"x{a}" for a in w) if w else "1"
-        if abs(c) != 1:
-            text = f"{abs(c)}*{text}"
-        parts.append(("- " if c < 0 else "+ ") + text)
-    joined = " ".join(parts)
-    return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+    return format_terms(t.items(), lambda w: ".".join(f"x{a}" for a in w) if w else "1")

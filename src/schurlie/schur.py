@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
 from .freelie import LieElement, decompose, embed
 from .words import (TensorElement, _equal_letter_runs, _linear_combination,
                     act, all_perms, check_word, perm_from_cycles,
-                    perm_sorting_onto, rearrangements, sorted_rep,
+                    perm_sorting_onto, read_int, rearrangements, sorted_rep,
                     sorted_words, stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest q for which Sigma_q is enumerated
@@ -260,10 +260,7 @@ def _json_int(value, what):
     if type(value) is int:
         return value
     if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+        return read_int(value, what)
     raise InvalidArgument(f"{what} must be an integer or a decimal string, got {value!r}")
 
 

@@ -22,10 +22,41 @@ length and no zero coefficients.
 from itertools import (combinations_with_replacement, groupby, permutations,
                        product)
 
-from .errors import DimensionMismatch, InvalidArgument
+from .errors import DimensionMismatch, InvalidArgument, ParseError
 
 Word = tuple
 Perm = tuple
+
+
+# ---------------------------------------------------------------------------
+# reading and writing
+
+def read_int(text, what, column=None):
+    """int(text) for a string read from outside the program.
+
+    Where int() refuses the string, as it also does for a digit string longer
+    than Python's integer-string limit, raises ParseError at column when one
+    is given and InvalidArgument otherwise, naming what was read.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    shown = repr(text) if len(text) <= 40 else f"a string of {len(text)} characters"
+    message = f"{what} must be an integer, got {shown}"
+    if column is None:
+        raise InvalidArgument(message)
+    raise ParseError(message, column)
+
+
+def format_terms(terms, label):
+    """The signed sum 'a - 2*b' of (key, coefficient) pairs, each key written
+    by label; '0' when there are no terms."""
+    text = " ".join(("- " if c < 0 else "+ ") + (f"{abs(c)}*" if abs(c) != 1 else "")
+                    + label(key) for key, c in terms)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from schurlie.cli import main
 from schurlie.errors import (DimensionMismatch, IndexOutOfRange,
                              InvalidArgument, ParseError)
-from schurlie.freelie import LEAF
+from schurlie.freelie import LEAF, generator, lie_bracket
 from schurlie.parsing import (eval_lie, eval_tensor, format_group_word,
                               format_tensor, parse_expression,
                               parse_group_word, parse_permutation, parse_shape)
@@ -65,6 +68,91 @@ def test_eval_lie_rejects_tensor():
 def test_eval_mixed_degree_sum_rejected():
     with pytest.raises(DimensionMismatch):
         eval_lie(parse_expression("x1 + [x1,x2]"), 2)
+
+
+def _eval_lie_recursive(ast, n):
+    """The evaluator that brackets in Lyndon coordinates at every node: the
+    oracle for eval_lie, which decomposes the tensor expansion once."""
+    kind = ast[0]
+    if kind == "gen":
+        return generator(n, ast[1])
+    if kind == "bracket":
+        return lie_bracket(_eval_lie_recursive(ast[1], n),
+                           _eval_lie_recursive(ast[2], n))
+    if kind == "tensor":
+        raise InvalidArgument("'.' products are tensors, not Lie elements")
+    if kind == "scale":
+        return _eval_lie_recursive(ast[2], n).scale(ast[1])
+    if kind == "sum":
+        parts = [_eval_lie_recursive(e, n).scale(s) for s, e in ast[1]]
+        degrees = {p.degree for p in parts}
+        if len(degrees) != 1:
+            raise DimensionMismatch(f"sum mixes degrees {sorted(degrees)}")
+        out = parts[0]
+        for p in parts[1:]:
+            out = out + p
+        return out
+    raise InvalidArgument(f"unknown node {kind!r}")
+
+
+def _random_ast(rng, n, degree, depth=3):
+    """A random homogeneous expression tree of the given degree: generators,
+    brackets, scales (0 included) and signed sums, some of which cancel."""
+    if degree == 1 and (depth == 0 or rng.random() < 0.4):
+        return ("gen", rng.randint(1, n))
+    kinds = ["scale", "sum"] if depth else []
+    if degree > 1:
+        kinds.append("bracket")
+    if not kinds:
+        return ("gen", rng.randint(1, n))
+    kind = rng.choice(kinds)
+    if kind == "bracket":
+        a = rng.randint(1, degree - 1)
+        return ("bracket", _random_ast(rng, n, a, depth),
+                _random_ast(rng, n, degree - a, depth))
+    if kind == "scale":
+        return ("scale", rng.randint(0, 3), _random_ast(rng, n, degree, depth - 1))
+    terms = [(rng.choice((1, -1)), _random_ast(rng, n, degree, depth - 1))
+             for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.2:
+        terms.append((-terms[0][0], terms[0][1]))  # cancels the first term
+    return ("sum", terms)
+
+
+def _replace_leaf(ast, new_leaf):
+    """ast with its first generator replaced by new_leaf."""
+    if ast[0] == "gen":
+        return new_leaf
+    if ast[0] == "bracket":
+        return ("bracket", _replace_leaf(ast[1], new_leaf), ast[2])
+    if ast[0] == "scale":
+        return ("scale", ast[1], _replace_leaf(ast[2], new_leaf))
+    (sign, first), *rest = ast[1]
+    return ("sum", [(sign, _replace_leaf(first, new_leaf)), *rest])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eval_lie_matches_recursive_oracle(n):
+    rng = random.Random(n)
+    zeros = 0
+    for _ in range(150):
+        ast = _random_ast(rng, n, rng.randint(1, 4))
+        expected = _eval_lie_recursive(ast, n)
+        assert eval_lie(ast, n) == expected, ast
+        zeros += expected.is_zero()
+        # the three rejections: a '.' node, a generator above the rank and
+        # a sum of two degrees
+        faults = [(_replace_leaf(ast, ("tensor", [("gen", 1), ("gen", 1)])),
+                   InvalidArgument),
+                  (_replace_leaf(ast, ("gen", n + 1)), InvalidArgument),
+                  (("sum", [(1, ast), (1, ("bracket", ast, ("gen", 1)))]),
+                   DimensionMismatch)]
+        for bad, error in faults:
+            with pytest.raises(error):
+                _eval_lie_recursive(bad, n)
+            with pytest.raises(error):
+                eval_lie(bad, n)
+    assert zeros  # the draw reaches zero results
 
 
 def test_parse_group_word():
@@ -195,6 +283,14 @@ def test_cli_verify_matches_benchmark_pin(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == suite["sha256_seed0"]
 
 
+def test_benchmark_selfcheck_passes():
+    # the harness imports src/ as it is, so a refactor there can break it
+    result = subprocess.run([sys.executable, "perfbench/selfcheck.py"],
+                            cwd=WORKLOADS.parent.parent, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+
+
 # closure sizes outside the benchmark, pinned to the output of the earlier
 # fixed-point closure engine
 GENERATION_PINS = {
@@ -246,6 +342,116 @@ def test_cli_verify_laws_pin(capsys, command):
     assert main(["verify", *command.split(), "--seed", "0", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LAWS_PINS[command]
+
+
+# the front end's outputs, pinned to the evaluator that bracketed in Lyndon
+# coordinates at every node: per argv the exit code and, on exit 0, the
+# sha256 of stdout, else the one stderr line after "error: "
+_EL2 = json.dumps({"n": 2, "q": 2, "entries": [
+    {"u": "1.2", "key": "2.1", "coeff": "3"}, {"u": "1.1", "key": "1.1", "coeff": "-1"}]})
+_EL3 = json.dumps({"n": 3, "q": 2, "entries": [
+    {"u": "1.2", "key": "1.2", "coeff": "2"}, {"u": "2.3", "key": "3.2", "coeff": "-1"}]})
+FRONTEND_PINS = [
+    (["normalize", "[x2,x1]"], 0,
+     "14e5a8093e7380634b99c1cfd4e1ec95c6c1a3345e00e3f451feba3d9465acf2"),
+    (["normalize", "[x1,[x1,x2]] - 2*[[x1,x2],x1] + [x2,[x2,x1]]", "--json"], 0,
+     "c90bf175cb6d5bc81c210e1e636945f6f66314782040f24c5a791fa0b99dc9f1"),
+    (["normalize", "3*[[x1,x3],[x2,x1]] - [x1,[x2,[x3,x1]]]", "--n", "4"], 0,
+     "1ec364d918c0b02147524dd23e505c426ff46acd82d3e172c211d48e49cda63f"),
+    (["normalize", "[x1,x2] - [x1,x2]", "--json"], 0,
+     "ce4272de6b95dbca4110a6e4322ab99e05585d667eb529cda9c005f6b67a7419"),
+    (["normalize", "-x2 + 5*x1"], 0,
+     "483d421b6beee87896d66b70f56ee36b7e2f1fcc906c4324934dde9b8db58f9a"),
+    (["normalize", "[x1,x1]"], 0,
+     "c508c51d68c356798712ce51172269d610319ad31f1a788a6cf3dbe8de3e7bec"),
+    (["normalize", "x1.x2"], 2, "'.' products are tensors, not Lie elements"),
+    (["normalize", "x1 + [x1,x2]"], 2, "sum mixes degrees [1, 2]"),
+    (["normalize", "[x1,x5]", "--n", "3"], 2,
+     "generator x5 exceeds the configured rank 3"),
+    (["normalize", "[x1,x2"], 2, "expected ']', found end of input (column 7)"),
+    (["normalize", "x0"], 2, "generator index must be >= 1, got 0 (column 1)"),
+    (["embed", "[x1,[x2,x3]]", "--json"], 0,
+     "69f933479bbb5351ff8c76066e184ab87e2afab8d62a05c43302d08223c9e2af"),
+    (["embed", "2*x1.x2 - x2.x1 + 3*[x1,x2]"], 0,
+     "42ac96c112b3c9b6169c91e3679530b2f9bcdaf34df7a462f1ec8f7748061a19"),
+    (["embed", "x1.x2 - x1.x2"], 0,
+     "7133d960bc06caf57b1af557a9a88aeafa311cdda2837d5a3528c4f34083c88b"),
+    (["embed", "[x1,x4]", "--n", "2"], 2, "generator x4 exceeds the configured rank 2"),
+    (["der-bracket", "--n", "3", "--left", "[x1,x2];0;0", "--right", "0;[x2,x3];0"],
+     0,
+     "8057333943591d012e4b0fa59d32e5e6ee493301c506b1a2e248e975a5081b87"),
+    (["der-bracket", "--n", "2", "--left", "[x1,x2];[x2,x1]",
+      "--right", "[x1,[x1,x2]];0", "--json"], 0,
+     "619aca94beee2e1d413e992b0aad029459f67b3080ea1a27304328d22bdb9505"),
+    (["der-bracket", "--n", "2", "--left", "0;0", "--right", "x1;x2"], 2,
+     "all images are zero; the degree cannot be inferred"),
+    (["der-bracket", "--n", "2", "--left", "x1.x2;0", "--right", "x1;x2"], 2,
+     "'.' products are tensors, not Lie elements"),
+    (["phi", "--element", _EL3, "--n", "3", "--images", "[x1,x2];0;[x2,x3]",
+      "--json"], 0,
+     "e60e666b068ffc2617d5fd4c54e541082444bb91b4a0fa2d4b0747b7ca25cb72"),
+    (["phi", "--element", _EL2, "--n", "2", "--images", "[x1,x2];[x2,x1]"], 0,
+     "a42ed0efb5d89f7fe69318843da12e2d11b08909bcea66305e385a715fc67a3e"),
+    (["brq", "--shape", "[[,],]"], 0,
+     "a28397414cce03bc0ac131c38aa31fa9d22db13d08f869fb3045bda9f41aa59a"),
+    (["brq", "--shape", "[[,[,]],[,]]", "--json"], 0,
+     "4b4796191bb4519762aa21a55fc7e10187274557a9099d413a1ba069d2c6ad33"),
+    (["brq", "--shape", ""], 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (["brq", "--shape", "[,"], 2, "expected ']' in shape (column 3)"),
+    (["schur-apply", "--element", _EL2, "--input", "x1.x2 + 2*x1.x1 - [x1,x2]"], 0,
+     "cc002be376e28b0faa318b2597c1702c284836c9cdb320eed0322d0b2cf239e7"),
+    (["schur-apply", "--element", _EL3, "--input", "[x1,x2] + x2.x3", "--json"], 0,
+     "5d291f84195e043706e4925be9d859f2f5dca6535d5a63b9261bcfa605df277c"),
+    (["schur-apply", "--element", _EL2, "--input", "x1.x3"], 2,
+     "generator x3 exceeds the configured rank 2"),
+    (["magnus", "x1^-1 x2^-1 x1 x2", "--degree", "3"], 0,
+     "b42cd09780aca8859588f7cd3ee72ada6bc58599989249d409f1397fa9da1876"),
+    (["magnus", "x1 x2^2 x1^-3", "--degree", "2", "--json"], 0,
+     "878ce64bb0c95975e3003b2fc71926a2cd44b104fd4b2233e456123ee7c2cf1d"),
+    (["magnus", "x1 x1^-1"], 0,
+     "681059c2b26930a7438adc1345e018bcc9fb8b36fb8720c069e96e9b8dd504d8"),
+    (["magnus", "x1", "--degree", "9"], 2, "--degree must be in 1..6"),
+    (["magnus", "x0 x1"], 2, "generator index must be >= 1, got 0"),
+    (["magnus", "y1"], 2, "bad group-word factor 'y1'"),
+    (["transfer", "--parts", "x", "--factors", _EL2], 2,
+     "--parts wants integers, got 'x'"),
+    (["transfer", "--parts", "2,1.5", "--factors", _EL2], 2,
+     "--parts wants integers, got '2,1.5'"),
+    (["classify", "--pair", "1,2"], 2, "--pair wants i,j:i',j', got '1,2'"),
+    (["classify", "--pair", "1,x:2,1"], 2, "--pair wants i,j:i',j', got '1,x:2,1'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", FRONTEND_PINS,
+                         ids=[" ".join(argv)[:60] for argv, _, _ in FRONTEND_PINS])
+def test_cli_frontend_pin(capsys, argv, code, expected):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == expected
+    else:
+        assert captured.out == ""
+        assert captured.err == f"error: {expected}\n"
+
+
+_LONG = "9" * 5000  # past Python's 4300-digit integer-string limit
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["magnus", f"x1^{_LONG}"], "exponent"),
+    (["magnus", f"x{_LONG} x1"], "generator index"),
+    (["normalize", f"[x{_LONG},x1]"], "generator index"),
+    (["normalize", f"{_LONG}*x1"], "scale"),
+], ids=["exponent", "group-word index", "generator index", "scale"])
+def test_cli_long_digit_string_exits_two(capsys, argv, what):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {what} must be an integer, got a string of 5000 characters")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_schur_roundtrip(capsys):
@@ -358,9 +564,7 @@ def test_cli_generation_guard_exit_two(capsys):
 
 def test_cli_json_identical_across_processes():
     # hash randomization differs per process; output bytes must not
-    import subprocess
-    import sys as _sys
-    cmd = [_sys.executable, "-m", "schurlie.cli", "verify", "star-laws",
+    cmd = [sys.executable, "-m", "schurlie.cli", "verify", "star-laws",
            "--n", "2", "--max-degree", "3", "--seed", "3", "--json"]
     runs = [subprocess.run(cmd, capture_output=True, text=True,
                            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": "src",

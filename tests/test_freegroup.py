@@ -7,7 +7,7 @@ from schurlie.derivations import (commutator_derivation, conjugating_derivation,
                                   der_bracket)
 from schurlie.errors import (InvalidArgument, NotInFiltration,
                              ResourceGuardExceeded)
-from schurlie.freegroup import (EndoOnFree, MagnusSeries, classify_pair,
+from schurlie.freegroup import (AutPair, EndoOnFree, MagnusSeries, classify_pair,
                                 commutator_auto, conjugating_auto,
                                 identity_endo, johnson_image, magnus,
                                 reduce_word, verify_mccool, word_commutator,
@@ -151,6 +151,23 @@ def test_johnson_bracket_compatibility_exhaustive():
             expected = der_bracket(conjugating_derivation(n, *a),
                                    conjugating_derivation(n, *b))
             assert image == expected
+
+
+def test_autpair_products_keep_their_inverse():
+    # products are built without the inverse check, so check it here
+    n = 3
+    chi = conjugating_auto(n, 1, 2)
+    with pytest.raises(InvalidArgument):
+        AutPair(chi.fwd, chi.fwd)  # chi is not an involution
+    gens = [conjugating_auto(n, i, j)
+            for i in range(1, 4) for j in range(1, 4) if i != j]
+    rng = random.Random(5)
+    level = gens
+    for _ in range(2):  # nested commutators [[a, b], c] of depth 3
+        level = [rng.choice(level).commutator(rng.choice(gens)) for _ in range(8)]
+        for pair in level + [level[0].inverse(), level[0] * level[1] * gens[2]]:
+            assert (pair.fwd * pair.inv).is_identity()
+            assert (pair.inv * pair.fwd).is_identity()
 
 
 def test_johnson_additivity_depth_one():

@@ -1,5 +1,7 @@
 import json
 
+from schurlie import suites
+from schurlie.errors import InternalInvariantError
 from schurlie.suites import SUITES, make_report
 
 
@@ -42,3 +44,14 @@ def test_suite_reports_are_deterministic():
     c = SUITES["star-laws"](n=2, max_degree=3, seed=12, trials=10)
     assert c["ok"]
 
+
+def test_lemma425_reports_a_failed_solver_check(monkeypatch):
+    # the suite relies on the solver's own checks of its two equations
+    def failing(n, i, j, u):
+        raise InternalInvariantError("fixing condition violated")
+    monkeypatch.setattr(suites, "find_annihilating_schur", failing)
+    report = SUITES["lemma425"](n=2, max_degree=2)
+    assert not report["ok"] and report["passed"] == 0
+    for inst in report["instances"]:
+        assert inst["pass"] is False
+        assert inst["error"] == "fixing condition violated"
