@@ -22,7 +22,7 @@ from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NotInFiltration, ResourceGuardExceeded)
 from .derivations import Derivation, conjugating_derivation, der_bracket
 from .freelie import decompose
-from .words import TensorElement
+from .words import SparseCombination, TensorElement, check_word
 
 MAGNUS_TRUNCATION_GUARD = 6  # series size grows like n^degree
 MCCOOL_RANK_GUARD = 5  # the relation families have O(n^4) instances
@@ -277,29 +277,37 @@ def verify_mccool(n):
 # ---------------------------------------------------------------------------
 # Magnus expansion
 
-class MagnusSeries:
-    """Integer noncommutative series truncated above a fixed degree."""
+class MagnusSeries(SparseCombination):
+    """Integer noncommutative series truncated above a fixed degree; the
+    constructor drops the words past the truncation."""
 
-    __slots__ = ("truncation", "_coeffs")
+    __slots__ = ("truncation",)
 
     def __init__(self, truncation, coeffs=None):
         if truncation < 1:
             raise InvalidArgument("truncation degree must be >= 1")
         self.truncation = truncation
-        clean = {}
-        for w, c in (coeffs or {}).items():
-            if len(w) > truncation:
-                continue
-            if c:
-                clean[tuple(w)] = c
-        self._coeffs = clean
+        self._coeffs = self._checked(coeffs, self._check_key)
+
+    def _check_key(self, w):
+        w = check_word(w)
+        return w if len(w) <= self.truncation else None
+
+    @classmethod
+    def _trusted(cls, truncation, coeffs):
+        """Wrap coeffs as is: checked words of length at most truncation, no
+        zero values."""
+        self = cls.__new__(cls)
+        self.truncation = truncation
+        self._coeffs = coeffs
+        return self
+
+    def _header(self):
+        return (self.truncation,)
 
     @classmethod
     def one(cls, truncation):
         return cls(truncation, {(): 1})
-
-    def coeff(self, w):
-        return self._coeffs.get(tuple(w), 0)
 
     def items(self):
         return sorted(self._coeffs.items(), key=lambda wc: (len(wc[0]), wc[0]))
@@ -308,22 +316,16 @@ class MagnusSeries:
         return TensorElement(degree, {w: c for w, c in self._coeffs.items()
                                       if len(w) == degree})
 
-    def __eq__(self, other):
-        return (isinstance(other, MagnusSeries)
-                and self.truncation == other.truncation
-                and self._coeffs == other._coeffs)
-
     def __mul__(self, other):
-        if self.truncation != other.truncation:
-            raise DimensionMismatch("mixing truncation degrees")
+        truncation = self._same_header(other)[0]
         coeffs = {}
         for w1, c1 in self._coeffs.items():
             for w2, c2 in other._coeffs.items():
-                if len(w1) + len(w2) > self.truncation:
+                if len(w1) + len(w2) > truncation:
                     continue
                 w = w1 + w2
                 coeffs[w] = coeffs.get(w, 0) + c1 * c2
-        return MagnusSeries(self.truncation, coeffs)
+        return MagnusSeries._trusted(truncation, {w: c for w, c in coeffs.items() if c})
 
     def __repr__(self):
         return f"MagnusSeries(trunc={self.truncation}, terms={len(self._coeffs)})"

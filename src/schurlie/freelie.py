@@ -15,11 +15,13 @@ the decomposition raises.
 
 from functools import lru_cache
 
-from .errors import DimensionMismatch, InvalidArgument, InternalInvariantError
-from .words import (TensorElement, _linear_combination, check_perm, check_word,
-                    format_perm, format_terms, perm_inverse, tensor_product)
+from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
+                     ResourceGuardExceeded)
+from .words import (SparseCombination, TensorElement, _linear_combination, check_perm,
+                    check_word, format_perm, format_terms, perm_inverse, tensor_product)
 
 LEAF = None  # leaf marker inside bracket shapes
+SHAPE_LEAF_GUARD = 16  # a q-leaf shape expands to 2^(q-1) terms
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +135,25 @@ def embed_monomial(tree):
 # ---------------------------------------------------------------------------
 # elements
 
-class LieElement:
+class LieElement(SparseCombination):
     """Sparse integer coordinates over the degree-p Lyndon basis, rank n."""
 
-    __slots__ = ("n", "degree", "_coeffs")
+    __slots__ = ("n", "degree")
 
     def __init__(self, n, degree, coeffs=None):
         self.n = n
         self.degree = degree
-        clean = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                w = check_word(w)
-                if len(w) != degree:
-                    raise DimensionMismatch(
-                        f"basis word {w!r} in a degree-{degree} element")
-                if max(w) > n:
-                    raise InvalidArgument(f"letter above rank {n} in {w!r}")
-                if not is_lyndon(w):
-                    raise InvalidArgument(f"{w!r} is not a Lyndon word")
-                if c:
-                    clean[w] = c
-        self._coeffs = clean
+        self._coeffs = self._checked(coeffs, self._check_key)
+
+    def _check_key(self, w):
+        w = check_word(w)
+        if len(w) != self.degree:
+            raise DimensionMismatch(f"basis word {w!r} in a degree-{self.degree} element")
+        if max(w) > self.n:
+            raise InvalidArgument(f"letter above rank {self.n} in {w!r}")
+        if not is_lyndon(w):
+            raise InvalidArgument(f"{w!r} is not a Lyndon word")
+        return w
 
     @classmethod
     def _trusted(cls, n, degree, coeffs):
@@ -166,54 +165,8 @@ class LieElement:
         self._coeffs = coeffs
         return self
 
-    def coeff(self, w):
-        return self._coeffs.get(tuple(w), 0)
-
-    def items(self):
-        return sorted(self._coeffs.items())
-
-    def is_zero(self):
-        return not self._coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, LieElement) and self.n == other.n
-                and self.degree == other.degree and self._coeffs == other._coeffs)
-
-    def __hash__(self):
-        return hash((self.n, self.degree, frozenset(self._coeffs.items())))
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        coeffs = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            total = coeffs.get(w, 0) + c
-            if total:
-                coeffs[w] = total
-            else:
-                del coeffs[w]
-        return LieElement._trusted(self.n, self.degree, coeffs)
-
-    def __neg__(self):
-        return LieElement._trusted(self.n, self.degree,
-                                   {w: -c for w, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        if not k:
-            return LieElement._trusted(self.n, self.degree, {})
-        return LieElement._trusted(self.n, self.degree,
-                                   {w: k * c for w, c in self._coeffs.items()})
-
-    __rmul__ = scale
-
-    def _check_compatible(self, other):
-        if self.n != other.n:
-            raise DimensionMismatch(f"mixing ranks {self.n} and {other.n}")
-        if self.degree != other.degree:
-            raise DimensionMismatch(
-                f"mixing degrees {self.degree} and {other.degree}")
+    def _header(self):
+        return (self.n, self.degree)
 
     def __str__(self):
         return format_terms(self.items(),
@@ -379,41 +332,31 @@ def monomial_from_shape(shape, letters):
     return build(shape)
 
 
-def shape_str(shape):
-    if shape is LEAF:
-        return ""
-    return f"[{shape_str(shape[0])},{shape_str(shape[1])}]"
-
-
-class GroupRingElement:
+class GroupRingElement(SparseCombination):
     """Sparse integer combination of degree-q permutations."""
 
-    __slots__ = ("degree", "_coeffs")
+    __slots__ = ("degree",)
 
     def __init__(self, degree, coeffs=None):
         self.degree = degree
-        clean = {}
-        if coeffs:
-            for p, c in coeffs.items():
-                if len(p) != degree:
-                    raise DimensionMismatch(
-                        f"permutation {p!r} in a degree-{degree} group-ring element")
-                if c:
-                    clean[check_perm(tuple(p))] = c
-        self._coeffs = clean
+        self._coeffs = self._checked(coeffs, self._check_key)
 
-    def items(self):
-        return sorted(self._coeffs.items())
+    def _check_key(self, p):
+        if len(p) != self.degree:
+            raise DimensionMismatch(
+                f"permutation {p!r} in a degree-{self.degree} group-ring element")
+        return check_perm(tuple(p))
 
-    def coeff(self, p):
-        return self._coeffs.get(tuple(p), 0)
+    @classmethod
+    def _trusted(cls, degree, coeffs):
+        """Wrap coeffs as is: permutations of size degree, no zero values."""
+        self = cls.__new__(cls)
+        self.degree = degree
+        self._coeffs = coeffs
+        return self
 
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingElement)
-                and self.degree == other.degree and self._coeffs == other._coeffs)
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self._coeffs.items())))
+    def _header(self):
+        return (self.degree,)
 
     def apply(self, t):
         """Linear action on a word or tensor through the place permutation."""
@@ -443,6 +386,9 @@ def bracketing_function(shape):
     if not is_shape(shape):
         raise InvalidArgument(f"not a bracket shape: {shape!r}")
     q = shape_leaf_count(shape)
+    if q > SHAPE_LEAF_GUARD:
+        raise ResourceGuardExceeded(
+            f"bracket shape with {q} leaves, above {SHAPE_LEAF_GUARD}")
     tree = monomial_from_shape(shape, range(1, q + 1))
     coeffs = {}
     for w, c in embed_monomial(tree).items():

@@ -23,12 +23,20 @@ from .words import (TensorElement, check_perm, format_terms, perm_from_cycles,
                     read_int, tensor_product)
 
 _TOKEN = re.compile(r"x\d+|\d+|\[|\]|[+\-*.,]")
+PARSE_DEPTH_GUARD = 200  # deepest nesting read; 238 overflows the stack under pytest
+
+
+def _check_depth(depth, column):
+    if depth > PARSE_DEPTH_GUARD:
+        raise ResourceGuardExceeded(
+            f"brackets nested {depth} deep at column {column}, above {PARSE_DEPTH_GUARD}")
 
 
 class _Tokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -119,10 +127,13 @@ def _parse_factor(toks):
             raise ParseError(f"generator index must be >= 1, got {index}", col)
         return ("gen", index)
     if tok == "[":
+        toks.depth += 1
+        _check_depth(toks.depth, col)
         left = _parse_sum(toks)
         toks.expect(",")
         right = _parse_sum(toks)
         toks.expect("]")
+        toks.depth -= 1
         return ("bracket", left, right)
     raise ParseError(f"expected a generator or '[', found {tok!r}", col)
 
@@ -268,22 +279,23 @@ def parse_shape(text):
     text = text.strip()
     pos = 0
 
-    def parse():
+    def parse(depth):
         nonlocal pos
         if pos < len(text) and text[pos] == "[":
+            _check_depth(depth, pos + 1)
             pos += 1
-            left = parse()
+            left = parse(depth + 1)
             if pos >= len(text) or text[pos] != ",":
                 raise ParseError("expected ',' in shape", pos + 1)
             pos += 1
-            right = parse()
+            right = parse(depth + 1)
             if pos >= len(text) or text[pos] != "]":
                 raise ParseError("expected ']' in shape", pos + 1)
             pos += 1
             return (left, right)
         return LEAF
 
-    shape = parse()
+    shape = parse(1)
     if pos != len(text):
         raise ParseError(f"trailing input in shape {text!r}", pos + 1)
     return shape

@@ -25,6 +25,7 @@ from .words import (TensorElement, _equal_letter_runs, _linear_combination,
                     sorted_words, stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest q for which Sigma_q is enumerated
+SCHUR_BASIS_GUARD = 100_000  # largest basis built, about 2 s of output
 
 
 def orbit_sum(u, key):
@@ -289,6 +290,10 @@ def orbit_data_of_column(u, col):
 def basis(n, q):
     """One element per (sorted word, orbit key): a basis of the equivariant
     endomorphisms; its size is the sum of orbit counts over sorted words."""
+    size = basis_dimension_formula(n, q)
+    if size > SCHUR_BASIS_GUARD:
+        raise ResourceGuardExceeded(
+            f"basis of degree {q}, rank {n} has {size} elements, above {SCHUR_BASIS_GUARD}")
     out = []
     for u in sorted_words(n, q):
         for key in orbit_keys(n, u):

@@ -13,10 +13,13 @@ holds letter ``sigma^{-1}(t)`` of ``w``.  Two consecutive actions compose as
 where ``perm_compose(t, s)`` is ordinary function composition, s applied
 first.  All values here are immutable tuples or carry only private state.
 
+Tensors, Lie elements, group-ring elements and Magnus series share one
+arithmetic core, ``SparseCombination``.  A subclass returns its header slots
+from ``_header()`` and wraps checked keys with ``_trusted(*header, coeffs)``.
 Validation happens once, at the input boundary: the public constructors check
-every word they are given.  Arithmetic builds its results through the private
-``_trusted`` constructors, whose callers guarantee checked words of matching
-length and no zero coefficients.
+every key they are given, even one with coefficient 0.  Arithmetic builds its
+results through ``_trusted``, whose callers guarantee checked keys and no zero
+coefficients.
 """
 
 from itertools import (combinations_with_replacement, groupby, permutations,
@@ -278,27 +281,97 @@ def sorted_words(n, q):
 
 
 # ---------------------------------------------------------------------------
-# sparse integer tensors
+# sparse integer combinations
 
-class TensorElement:
-    """Sparse integer linear combination of degree-q basis words.
+class SparseCombination:
+    """Sparse integer linear combination of basis keys, no zero coefficient
+    stored; instances behave as immutable values.  Combinations are equal when
+    type, header and coefficients are, and arithmetic refuses operands whose
+    type or header differ."""
 
-    Zero coefficients are never stored; instances behave as immutable values.
-    """
+    __slots__ = ("_coeffs",)
 
-    __slots__ = ("degree", "_coeffs")
+    @staticmethod
+    def _checked(coeffs, check):
+        """coeffs in one pass: each key through check, which raises on a bad
+        key and returns None for one to drop, then zero coefficients dropped."""
+        clean = {}
+        if coeffs:
+            for key, c in coeffs.items():
+                key = check(key)
+                if c and key is not None:
+                    clean[key] = c
+        return clean
+
+    def _same_header(self, other):
+        """The shared header of self and other; DimensionMismatch when their
+        types or headers differ."""
+        header = self._header()
+        if type(other) is not type(self) or other._header() != header:
+            raise DimensionMismatch(
+                f"cannot combine {type(self).__name__}{header} "
+                f"with {type(other).__name__}{other._header()}")
+        return header
+
+    def coeff(self, key):
+        return self._coeffs.get(tuple(key), 0)
+
+    def items(self):
+        return sorted(self._coeffs.items())
+
+    def is_zero(self):
+        return not self._coeffs
+
+    def __len__(self):
+        return len(self._coeffs)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._header() == other._header()
+                and self._coeffs == other._coeffs)
+
+    def __hash__(self):
+        return hash((*self._header(), frozenset(self._coeffs.items())))
+
+    def __add__(self, other):
+        header = self._same_header(other)
+        coeffs = dict(self._coeffs)
+        for key, c in other._coeffs.items():
+            total = coeffs.get(key, 0) + c
+            if total:
+                coeffs[key] = total
+            else:
+                del coeffs[key]
+        return self._trusted(*header, coeffs)
+
+    def __neg__(self):
+        return self._trusted(*self._header(), {key: -c for key, c in self._coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, k):
+        if not k:
+            return self._trusted(*self._header(), {})
+        return self._trusted(*self._header(),
+                             {key: k * c for key, c in self._coeffs.items()})
+
+    __rmul__ = scale
+
+
+class TensorElement(SparseCombination):
+    """Sparse integer linear combination of degree-q basis words."""
+
+    __slots__ = ("degree",)
 
     def __init__(self, degree, coeffs=None):
         self.degree = degree
-        clean = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if len(w) != degree:
-                    raise DimensionMismatch(
-                        f"word {w!r} of length {len(w)} in a degree-{degree} tensor")
-                if c:
-                    clean[check_word(w)] = c
-        self._coeffs = clean
+        self._coeffs = self._checked(coeffs, self._check_key)
+
+    def _check_key(self, w):
+        if len(w) != self.degree:
+            raise DimensionMismatch(
+                f"word {w!r} of length {len(w)} in a degree-{self.degree} tensor")
+        return check_word(w)
 
     @classmethod
     def _trusted(cls, degree, coeffs):
@@ -308,58 +381,15 @@ class TensorElement:
         self._coeffs = coeffs
         return self
 
+    def _header(self):
+        return (self.degree,)
+
     @classmethod
     def from_word(cls, w, coeff=1):
         return cls(len(w), {tuple(w): coeff})
 
-    def coeff(self, w):
-        return self._coeffs.get(tuple(w), 0)
-
-    def items(self):
-        return sorted(self._coeffs.items())
-
     def support(self):
         return sorted(self._coeffs)
-
-    def is_zero(self):
-        return not self._coeffs
-
-    def __len__(self):
-        return len(self._coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement)
-                and self.degree == other.degree
-                and self._coeffs == other._coeffs)
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self._coeffs.items())))
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise DimensionMismatch(f"adding tensors of degrees {self.degree} and {other.degree}")
-        coeffs = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            total = coeffs.get(w, 0) + c
-            if total:
-                coeffs[w] = total
-            else:
-                del coeffs[w]
-        return TensorElement._trusted(self.degree, coeffs)
-
-    def __neg__(self):
-        return TensorElement._trusted(self.degree, {w: -c for w, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        if not k:
-            return TensorElement._trusted(self.degree, {})
-        return TensorElement._trusted(self.degree,
-                                      {w: k * c for w, c in self._coeffs.items()})
-
-    __rmul__ = scale
 
     def act(self, sigma):
         """The linear extension of the place-permutation action; the size of

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from schurlie import schur
 from schurlie.cli import main
 from schurlie.errors import (DimensionMismatch, IndexOutOfRange,
                              InvalidArgument, ParseError)
@@ -351,6 +352,18 @@ _EL2 = json.dumps({"n": 2, "q": 2, "entries": [
     {"u": "1.2", "key": "2.1", "coeff": "3"}, {"u": "1.1", "key": "1.1", "coeff": "-1"}]})
 _EL3 = json.dumps({"n": 3, "q": 2, "entries": [
     {"u": "1.2", "key": "1.2", "coeff": "2"}, {"u": "2.3", "key": "3.2", "coeff": "-1"}]})
+
+
+def _deep(depth):
+    """[x1,[x1,...[x1,x2]...]] with depth brackets."""
+    return "[x1," * depth + "x2" + "]" * depth
+
+
+def _comb(leaves):
+    """The right comb shape [,[,...[,]...]] with the given number of leaves."""
+    return "[," * (leaves - 1) + "]" * (leaves - 1)
+
+
 FRONTEND_PINS = [
     (["normalize", "[x2,x1]"], 0,
      "14e5a8093e7380634b99c1cfd4e1ec95c6c1a3345e00e3f451feba3d9465acf2"),
@@ -420,6 +433,21 @@ FRONTEND_PINS = [
      "--parts wants integers, got '2,1.5'"),
     (["classify", "--pair", "1,2"], 2, "--pair wants i,j:i',j', got '1,2'"),
     (["classify", "--pair", "1,x:2,1"], 2, "--pair wants i,j:i',j', got '1,x:2,1'"),
+    # sums and images of mixed degrees are refused before they are added
+    (["embed", "x1 + x1.x2"], 2, "sum mixes degrees [1, 2]"),
+    (["der-bracket", "--n", "2", "--left", "x1;[x1,x2]", "--right", "x1;x2"], 2,
+     "images of mixed degrees [1, 2]"),
+    # size guards: the last accepted input and the first refused one
+    (["normalize", "--n", "2", _deep(200)], 0,
+     "b2338fd2c86676775286f429968c67cb0d90e3fedc17128a14115a54bf8be97a"),
+    (["normalize", _deep(201)], 2, "brackets nested 201 deep at column 801, above 200"),
+    (["brq", "--shape", "[," * 201 + "]" * 201], 2,
+     "brackets nested 201 deep at column 401, above 200"),
+    (["brq", "--json", "--shape", _comb(16)], 0,
+     "6559a5d5a6d0c9d9ab8b3c910688d1bb79f8491cffad15737b29e430e77e505d"),
+    (["brq", "--shape", _comb(17)], 2, "bracket shape with 17 leaves, above 16"),
+    (["schur-basis", "--n", "8", "--q", "8"], 2,
+     "basis of degree 8, rank 8 has 10639125640 elements, above 100000"),
 ]
 
 
@@ -434,6 +462,30 @@ def test_cli_frontend_pin(capsys, argv, code, expected):
     else:
         assert captured.out == ""
         assert captured.err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("patch, refused, accepted, message", [
+    (None, ["normalize", _deep(201)], ["normalize", _deep(200)],
+     "brackets nested 201 deep at column 801, above 200"),
+    (None, ["brq", "--shape", _comb(17)], ["brq", "--shape", _comb(16)],
+     "bracket shape with 17 leaves, above 16"),
+    # the bound lowered to the 20-element basis of n = 2, q = 3, so that the
+    # accepted input stays small
+    ((schur, "SCHUR_BASIS_GUARD", 20), ["schur-basis", "--n", "2", "--q", "4"],
+     ["schur-basis", "--n", "2", "--q", "3"],
+     "basis of degree 4, rank 2 has 35 elements, above 20"),
+], ids=["bracket depth", "shape leaves", "schur basis"])
+def test_cli_size_guard_refuses_above_bound(capsys, monkeypatch, patch, refused,
+                                            accepted, message):
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+        schur.basis.cache_clear()  # the guard runs on a cache miss
+    assert main(refused) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert main(accepted) == 0
+    assert capsys.readouterr().err == ""
 
 
 _LONG = "9" * 5000  # past Python's 4300-digit integer-string limit

@@ -2,11 +2,15 @@
 equal the same coefficients passed through the validating public constructor,
 and must store no zero coefficient."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurlie.freelie import LieElement, lyndon_words
+from schurlie.errors import DimensionMismatch, InvalidArgument
+from schurlie.freegroup import MagnusSeries
+from schurlie.freelie import GroupRingElement, LieElement, lyndon_words
 from schurlie.schur import SchurElement, orbit_keys
-from schurlie.words import TensorElement, act, sorted_words, tensor_product, words_of
+from schurlie.words import (TensorElement, act, all_perms, perm_compose, sorted_words,
+                            tensor_product, words_of)
 
 COEFFS = st.integers(min_value=-3, max_value=3)  # zero included on purpose
 
@@ -79,6 +83,109 @@ def test_lie_arithmetic_matches_validated(case):
                      (a.scale(k), _combine((k, da)))]:
         assert got == LieElement(n, p, raw)
         assert _no_zero(got.items())
+
+
+@st.composite
+def group_ring_cases(draw):
+    q = draw(st.integers(min_value=0, max_value=3))
+    perms = st.sampled_from(list(all_perms(q)))
+    da = draw(st.dictionaries(perms, COEFFS, max_size=4))
+    db = draw(st.dictionaries(perms, COEFFS, max_size=4))
+    word = tuple(draw(st.lists(st.integers(1, 2), min_size=q, max_size=q)))
+    return q, da, db, draw(COEFFS), word
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_ring_cases())
+def test_group_ring_arithmetic_matches_validated(case):
+    q, da, db, k, word = case
+    a, b = GroupRingElement(q, da), GroupRingElement(q, db)
+    for got, raw in [(a + b, _combine((1, da), (1, db))),
+                     (a - b, _combine((1, da), (-1, db))),
+                     (-a, _combine((-1, da))),
+                     (a.scale(k), _combine((k, da)))]:
+        assert got == GroupRingElement(q, raw)
+        assert _no_zero(got.items())
+    assert (a + b).apply(word) == a.apply(word) + b.apply(word)
+    assert a.scale(k).apply(word) == a.apply(word).scale(k)
+    # sigma then tau acts as their composite, tau after sigma
+    for sigma in da:
+        for tau in db:
+            assert (GroupRingElement(q, {tau: 1}).apply(GroupRingElement(q, {sigma: 1}).apply(word))
+                    == GroupRingElement(q, {perm_compose(tau, sigma): 1}).apply(word))
+
+
+@st.composite
+def magnus_cases(draw):
+    truncation = draw(st.integers(min_value=1, max_value=3))
+    # words up to one letter past the truncation, which the constructor drops
+    words = st.lists(st.integers(1, 2), max_size=truncation + 1).map(tuple)
+    da = draw(st.dictionaries(words, COEFFS, max_size=6))
+    db = draw(st.dictionaries(words, COEFFS, max_size=6))
+    return truncation, da, db, draw(COEFFS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(magnus_cases())
+def test_magnus_arithmetic_matches_validated(case):
+    truncation, da, db, k = case
+    a, b = MagnusSeries(truncation, da), MagnusSeries(truncation, db)
+    product = {}
+    for w1, c1 in da.items():
+        for w2, c2 in db.items():
+            product[w1 + w2] = product.get(w1 + w2, 0) + c1 * c2
+    for got, raw in [(a + b, _combine((1, da), (1, db))),
+                     (a - b, _combine((1, da), (-1, db))),
+                     (-a, _combine((-1, da))),
+                     (a.scale(k), _combine((k, da))),
+                     (a * b, product)]:
+        assert got == MagnusSeries(truncation, raw)
+        assert _no_zero(got.items())
+        assert all(len(w) <= truncation for w, _ in got.items())
+
+
+# one (make, header, other header, coefficients, bad keys) per subclass of
+# the shared core; each bad key is refused even with coefficient 0
+COMBINATIONS = {
+    "tensor": (TensorElement, (2,), (3,), {(1, 2): 1, (2, 1): -2},
+               [((0, 1), InvalidArgument), ((1,), DimensionMismatch)]),
+    "lie": (LieElement, (2, 2), (3, 2), {(1, 2): 3},
+            [((2, 1), InvalidArgument), ((1, 3), InvalidArgument),
+             ((1, 1, 2), DimensionMismatch)]),
+    "group ring": (GroupRingElement, (2,), (3,), {(1, 2): 1, (2, 1): -1},
+                   [((1, 1), InvalidArgument), ((1,), DimensionMismatch)]),
+    "magnus": (MagnusSeries, (2,), (3,), {(): 1, (1, 2): -1},
+               [((0,), InvalidArgument), ((1, 0, 1), InvalidArgument)]),
+}
+
+
+@pytest.mark.parametrize("name", COMBINATIONS)
+def test_sparse_combination_contract(name):
+    make, header, other_header, coeffs, bad_keys = COMBINATIONS[name]
+    a = make(*header, coeffs)
+    other = make(*other_header)
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(DimensionMismatch):
+            op(a, other)
+    # (1, 2) is a key of every class at its first header
+    one_key = make(*header, {(1, 2): 1})
+    for other_name, (other_make, first_header, _, _, _) in COMBINATIONS.items():
+        if other_name != name:
+            stranger = other_make(*first_header, {(1, 2): 1})
+            assert one_key != stranger
+            with pytest.raises(DimensionMismatch):
+                one_key + stranger
+    same = make(*header, dict(reversed(list(coeffs.items()))))
+    assert same == a and hash(same) == hash(a)
+    assert a - a == make(*header, {k: 0 for k in coeffs}) and len(a - a) == 0
+    for result in (a + a, a - a, -a, a.scale(2), 2 * a, a.scale(0)):
+        assert _no_zero(result.items())
+        assert type(result) is type(a) and result._header() == a._header()
+    for key, error in bad_keys:
+        with pytest.raises(error):
+            make(*header, {key: 0})
+    if make is MagnusSeries:
+        assert make(*header, {(1, 2, 1): 5}).is_zero()  # past the truncation
 
 
 @st.composite
