@@ -10,13 +10,13 @@ Conventions, fixed here and relied on throughout:
   * endomorphisms compose as functions, (alpha * beta)(x) = alpha(beta(x));
     the three-term McCool relation holds as written under this order, and
     verify_mccool also records the opposite-order outcome (the relation set
-    is closed under word reversal, so both orders in fact pass).
+    is closed under word reversal, so both orders in fact pass);
+  * magnus expands a word letter by letter into one coefficient dict per
+    word length (its layers), and returns them merged as a MagnusSeries.
 
 Together these make the depth-m Johnson image a Lie morphism on the nose:
 the image of a group commutator is the derivation bracket of the images.
 """
-
-from functools import lru_cache
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NotInFiltration, ResourceGuardExceeded)
@@ -331,23 +331,39 @@ class MagnusSeries(SparseCombination):
         return f"MagnusSeries(trunc={self.truncation}, terms={len(self._coeffs)})"
 
 
-@lru_cache(maxsize=None)
-def _magnus_letter(a, truncation):
-    if a > 0:
-        return MagnusSeries(truncation, {(): 1, (a,): 1})
-    # geometric inverse: 1 - X + X^2 - ...
-    coeffs = {(-a,) * k: (-1) ** k for k in range(truncation + 1)}
-    return MagnusSeries(truncation, coeffs)
-
-
 def magnus(w, truncation):
-    """Multiplicative expansion x_i -> 1 + X_i of a reduced group word."""
+    """Multiplicative expansion x_i -> 1 + X_i of a reduced group word.
+
+    The word is read one letter at a time into layers[d], the length-d part
+    of the series so far, updated in place:
+
+      * x_a multiplies by 1 + X_a: layers[d] += layers[d-1] X_a, for d from
+        truncation down to 1, so each layer reads the old layer below it;
+      * x_a^{-1} multiplies by (1 + X_a)^{-1}: the product y of s with it
+        solves y (1 + X_a) = s, so y_d = s_d - y_{d-1} X_a, for d from 1 up,
+        so each layer reads the updated layer below it.
+
+    Entries that become 0 are deleted.
+    """
     if truncation < 1:
         raise InvalidArgument("truncation degree must be >= 1")
-    out = MagnusSeries.one(truncation)
+    layers = [{(): 1}] + [{} for _ in range(truncation)]
     for a in reduce_word(w):
-        out = out * _magnus_letter(a, truncation)
-    return out
+        if a > 0:
+            degrees, letter, sign = range(truncation, 0, -1), (a,), 1
+        else:
+            degrees, letter, sign = range(1, truncation + 1), (-a,), -1
+        for d in degrees:
+            layer = layers[d]
+            for u, c in layers[d - 1].items():
+                key = u + letter
+                total = layer.get(key, 0) + sign * c
+                if total:
+                    layer[key] = total
+                else:
+                    del layer[key]
+    return MagnusSeries._trusted(
+        truncation, {u: c for layer in layers for u, c in layer.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +448,8 @@ def classify_pair(n, first, second, depth):
                 "nonzero": not image.is_zero(),
                 "matches_derivation_bracket": image == expected,
             })
+            if m == depth:
+                continue  # no deeper level is certified
             for tag, gen_pair, gen_der in (("a", a, da), ("b", b, db)):
                 next_frontier.append((f"[{label},{tag}]",
                                       pair.commutator(gen_pair),

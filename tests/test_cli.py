@@ -359,6 +359,12 @@ def _deep(depth):
     return "[x1," * depth + "x2" + "]" * depth
 
 
+def _alternating(depth):
+    """[x1,[x2,[x1,...]]] with depth brackets: its expansion has no
+    cancelling neighbours, so it grows about twice per level."""
+    return "".join(f"[x{1 + k % 2}," for k in range(depth)) + f"x{1 + depth % 2}" + "]" * depth
+
+
 def _comb(leaves):
     """The right comb shape [,[,...[,]...]] with the given number of leaves."""
     return "[," * (leaves - 1) + "]" * (leaves - 1)
@@ -422,6 +428,10 @@ FRONTEND_PINS = [
      "b42cd09780aca8859588f7cd3ee72ada6bc58599989249d409f1397fa9da1876"),
     (["magnus", "x1 x2^2 x1^-3", "--degree", "2", "--json"], 0,
      "878ce64bb0c95975e3003b2fc71926a2cd44b104fd4b2233e456123ee7c2cf1d"),
+    (["magnus", "x1^-3 x2^2 x1^3 x2^-2", "--degree", "6", "--json"], 0,
+     "9a76b5238624a048f93c67d962c35a2b7b7a5405df9b6e1abe625c6ca269c302"),
+    (["magnus", "x1 x2^-1 x3 x1^-2 x2", "--degree", "6"], 0,
+     "89af0754e387fc1605b26805a2e1ae704b0682ea869260e035ba92f5b674ed6a"),
     (["magnus", "x1 x1^-1"], 0,
      "681059c2b26930a7438adc1345e018bcc9fb8b36fb8720c069e96e9b8dd504d8"),
     (["magnus", "x1", "--degree", "9"], 2, "--degree must be in 1..6"),
@@ -441,6 +451,8 @@ FRONTEND_PINS = [
     (["normalize", "--n", "2", _deep(200)], 0,
      "b2338fd2c86676775286f429968c67cb0d90e3fedc17128a14115a54bf8be97a"),
     (["normalize", _deep(201)], 2, "brackets nested 201 deep at column 801, above 200"),
+    (["normalize", _alternating(16)], 2,
+     "product of 1 and 902 terms forms 902 term pairs, above 512"),
     (["brq", "--shape", "[," * 201 + "]" * 201], 2,
      "brackets nested 201 deep at column 401, above 200"),
     (["brq", "--json", "--shape", _comb(16)], 0,
@@ -469,12 +481,15 @@ def test_cli_frontend_pin(capsys, argv, code, expected):
      "brackets nested 201 deep at column 801, above 200"),
     (None, ["brq", "--shape", _comb(17)], ["brq", "--shape", _comb(16)],
      "bracket shape with 17 leaves, above 16"),
+    # 902 and 500 term pairs in the last bracket
+    (None, ["normalize", _alternating(13)], ["normalize", _alternating(12)],
+     "product of 1 and 902 terms forms 902 term pairs, above 512"),
     # the bound lowered to the 20-element basis of n = 2, q = 3, so that the
     # accepted input stays small
     ((schur, "SCHUR_BASIS_GUARD", 20), ["schur-basis", "--n", "2", "--q", "4"],
      ["schur-basis", "--n", "2", "--q", "3"],
      "basis of degree 4, rank 2 has 35 elements, above 20"),
-], ids=["bracket depth", "shape leaves", "schur basis"])
+], ids=["bracket depth", "shape leaves", "expansion pairs", "schur basis"])
 def test_cli_size_guard_refuses_above_bound(capsys, monkeypatch, patch, refused,
                                             accepted, message):
     if patch is not None:

@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rational_linalg import rank
 from schurlie import derivations
 from schurlie.derivations import (Derivation, _action_matrices,
                                   apply_derivation, commutator_derivation,
@@ -18,7 +19,7 @@ from schurlie.errors import (DimensionMismatch, InvalidArgument,
 from schurlie.freelie import (LieElement, embed, generator, lie_bracket,
                               lyndon_basis, lyndon_bracketing, lyndon_words,
                               normalize, witt_dimension, zero_lie)
-from schurlie.linalg import IntegerLattice, rank
+from schurlie.linalg import IntegerLattice
 from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             letter_substitution, orbit_keys)
 from schurlie.words import (multidegree, rearrangements, sorted_rep,

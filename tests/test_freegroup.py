@@ -7,8 +7,8 @@ from schurlie.derivations import (commutator_derivation, conjugating_derivation,
                                   der_bracket)
 from schurlie.errors import (InvalidArgument, NotInFiltration,
                              ResourceGuardExceeded)
-from schurlie.freegroup import (AutPair, EndoOnFree, MagnusSeries, classify_pair,
-                                commutator_auto, conjugating_auto,
+from schurlie.freegroup import (MAGNUS_TRUNCATION_GUARD, AutPair, EndoOnFree,
+                                MagnusSeries, classify_pair, commutator_auto, conjugating_auto,
                                 identity_endo, johnson_image, magnus,
                                 reduce_word, verify_mccool, word_commutator,
                                 word_inv, word_mul)
@@ -117,6 +117,40 @@ def test_magnus_multiplicative_fuzz():
         assert magnus(word_mul(u, word_inv(u)), d) == MagnusSeries.one(d)
 
 
+
+def _magnus_by_products(w, truncation):
+    """The expansion as the left-to-right product of per-letter series: the
+    oracle for magnus's layer recurrence."""
+    out = MagnusSeries.one(truncation)
+    for a in w:
+        if a > 0:
+            letter = MagnusSeries(truncation, {(): 1, (a,): 1})
+        else:  # 1 - X + X^2 - ...
+            letter = MagnusSeries(truncation, {(-a,) * k: (-1) ** k
+                                               for k in range(truncation + 1)})
+        out = out * letter
+    return out
+
+
+@st.composite
+def reduced_words(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    word = []
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        word.append(draw(st.sampled_from(
+            [a for a in range(-n, n + 1) if a and not (word and a == -word[-1])])))
+    return tuple(word)
+
+
+@settings(max_examples=80, deadline=None)
+@given(reduced_words(), st.integers(min_value=1, max_value=MAGNUS_TRUNCATION_GUARD))
+def test_magnus_matches_product_oracle(w, truncation):
+    series = magnus(w, truncation)
+    expected = _magnus_by_products(w, truncation)
+    assert series == expected
+    assert series.items() == expected.items()
+    assert 0 not in series._coeffs.values()
+
 def test_johnson_depth_one_frozen():
     n = 3
     for i in range(1, 4):
@@ -199,6 +233,23 @@ def test_classify_pair_free_cases_depth_three():
         assert result["all_nonzero"]
         assert result["all_match"]
 
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_classify_pair_builds_only_certified_commutators(monkeypatch, depth):
+    # one commutator per certified word: 2^(depth-1) - 1 of them, none for
+    # the level past depth
+    calls = []
+    commutator = AutPair.commutator
+
+    def counting(self, other):
+        calls.append(1)
+        return commutator(self, other)
+
+    monkeypatch.setattr(AutPair, "commutator", counting)
+    result = classify_pair(3, (1, 2), (2, 3), depth)
+    assert len(result["certificate"]) == 2 ** (depth - 1) - 1
+    assert len(calls) == 2 ** (depth - 1) - 1
 
 def test_classify_pair_validation():
     with pytest.raises(InvalidArgument):

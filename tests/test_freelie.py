@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rational_linalg import rank
 from schurlie.errors import InvalidArgument
 from schurlie.freelie import (LEAF, GroupRingElement, LieElement,
                               bracketing_function, embed, embed_monomial,
@@ -11,7 +12,6 @@ from schurlie.freelie import (LEAF, GroupRingElement, LieElement,
                               lyndon_basis, lyndon_bracketing, lyndon_words,
                               monomial_from_shape, normalize, shape_of,
                               specht_wever, witt_dimension, zero_lie)
-from schurlie.linalg import rank
 from schurlie.words import TensorElement, words_of
 
 # frozen necklace counts

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from rational_linalg import nullspace
 from schurlie.errors import (DimensionMismatch, InternalInvariantError,
                              InvalidArgument, ResourceGuardExceeded)
 from schurlie.freelie import (bracketing_function, embed, lyndon_basis,
                               monomial_from_shape, monomial_letters,
                               normalize, shape_of, specht_wever)
-from schurlie.linalg import nullspace
 from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             basis_dimension_formula, decompose_in_basis,
                             equivariant_basis_bruteforce, is_equivariant,
