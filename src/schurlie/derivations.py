@@ -118,10 +118,6 @@ class Derivation:
                 % (self.n, self.degree, ", ".join(str(a) for a in self.images)))
 
 
-def zero_derivation(n, degree):
-    return Derivation(n, degree, tuple(zero_lie(n, degree) for _ in range(n)))
-
-
 def generator_derivation(i, w):
     """The derivation sending x_i to w and every other generator to zero."""
     n = w.n

@@ -133,10 +133,6 @@ class EndoOnFree:
         return f"EndoOnFree(n={self.n}, images={self.images})"
 
 
-def identity_endo(n):
-    return EndoOnFree(n, tuple((i,) for i in range(1, n + 1)))
-
-
 class AutPair:
     """An automorphism carried together with its inverse, so that group
     commutators of generated elements stay computable in closed form."""
@@ -345,6 +341,13 @@ def magnus(w, truncation):
 
     Entries that become 0 are deleted.
     """
+    layers = _magnus_layers(w, truncation)
+    return MagnusSeries._trusted(
+        truncation, {u: c for layer in layers for u, c in layer.items()})
+
+
+def _magnus_layers(w, truncation):
+    """The layers of magnus(w, truncation): one dict per length 0..truncation."""
     if truncation < 1:
         raise InvalidArgument("truncation degree must be >= 1")
     layers = [{(): 1}] + [{} for _ in range(truncation)]
@@ -362,8 +365,7 @@ def magnus(w, truncation):
                     layer[key] = total
                 else:
                     del layer[key]
-    return MagnusSeries._trusted(
-        truncation, {u: c for layer in layers for u, c in layer.items()})
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +389,14 @@ def johnson_image(alpha, m):
     n = alpha.n
     images = []
     for i in range(1, n + 1):
-        series = magnus(word_mul((-i,), alpha.images[i - 1]), m + 1)
-        if series.coeff(()) != 1:
+        layers = _magnus_layers(word_mul((-i,), alpha.images[i - 1]), m + 1)
+        if layers[0] != {(): 1}:
             raise InternalInvariantError("group-element series must start at 1")
-        for d in range(1, m + 1):
-            if not series.homogeneous(d).is_zero():
-                raise NotInFiltration(
-                    f"x_{i} moves in degree {d}; automorphism is not at depth {m}")
-        images.append(decompose(n, series.homogeneous(m + 1)))
+        d = next((d for d in range(1, m + 1) if layers[d]), None)
+        if d is not None:
+            raise NotInFiltration(
+                f"x_{i} moves in degree {d}; automorphism is not at depth {m}")
+        images.append(decompose(n, TensorElement._trusted(m + 1, layers[m + 1])))
     return Derivation(n, m + 1, images)
 
 

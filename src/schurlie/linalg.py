@@ -1,10 +1,13 @@
 """Exact dense linear algebra over the integers.
 
-An incremental integer row echelon (Hermite-style) lattice for ranks and
+An incremental integer lattice kept in Hermite normal form, for ranks and
 saturation checks, and a Smith normal form with transforms for
-divisibility-aware solving.  Everything stays well under a few hundred rows
+divisibility-aware solving.  Everything stays well under a thousand rows
 and columns, so the implementations favour clarity.
 """
+
+from bisect import bisect, bisect_left, insort
+from itertools import compress
 
 from .errors import InternalInvariantError
 
@@ -28,61 +31,104 @@ def _xgcd(a, b):
 
 
 class IntegerLattice:
-    """Row span over Z, kept in integer echelon form: each row's first
-    nonzero entry (its pivot) is positive and lies right of the pivot above,
-    so the lattice is Z^dim exactly when it has dim rows, all with pivot 1.
-    add() returns True exactly when the lattice strictly grows.
+    """Row span over Z, kept in Hermite normal form.
+
+    Each row's first nonzero entry (its pivot) is positive, no two rows share
+    a pivot column, and every other entry of a pivot column lies in
+    [0, pivot).  The rows live in a dict keyed by pivot column; rows lists
+    them in pivot order.  The form is unique to the span, so Z^dim has the
+    unit vectors as its rows, and the lattice is Z^dim exactly when it has
+    dim rows, all with pivot 1.  add() returns True exactly when the lattice
+    strictly grows.
+
+    >>> lat = IntegerLattice(3)
+    >>> lat.add([2, 3, 1]), lat.add([0, 4, 2]), lat.add([0, 6, 0])
+    (True, True, True)
+    >>> lat.rows  # the gcd step made pivot 2 from 4 and 6
+    [[2, 1, 3], [0, 2, 4], [0, 0, 6]]
+    >>> lat.add([2, 3, 1]), lat.elementary_divisors()
+    (False, [1, 2, 12])
     """
 
     def __init__(self, dim):
         self.dim = dim
-        self.rows = []  # sorted by pivot column
-        self._pivot_cols = []
+        self._rows = {}  # pivot column -> row
+        self._pivots = []  # the pivot columns, increasing
+
+    @property
+    def rows(self):
+        return [self._rows[c] for c in self._pivots]
 
     def rank(self):
-        return len(self.rows)
+        return len(self._pivots)
 
     def basis_rows(self):
         return [list(r) for r in self.rows]
 
     def add(self, vec):
+        """Reduce vec at its leading entry, row by row: divide exactly, or
+        take a gcd step that replaces the row (the lattice grows); where no
+        row has that pivot, vec goes in as a row.  Then restore the normal
+        form at the rows that changed."""
         if len(vec) != self.dim:
             raise InternalInvariantError(
                 f"vector of length {len(vec)} in a dim-{self.dim} lattice")
         v = list(vec)
-        grew = False
-        for idx in range(len(self.rows)):
-            p = self._pivot_cols[idx]
-            if any(v[: p]):
-                break  # v now has an earlier pivot; insert below
-            if not v[p]:
-                continue
-            a = self.rows[idx][p]
-            if v[p] % a == 0:
-                f = v[p] // a
-                v = [x - f * y for x, y in zip(v, self.rows[idx])]
+        rows = self._rows
+        touched = []  # pivot columns whose rows changed, increasing
+        # v changes in place, and reducing it at column c changes only
+        # columns >= c, so the lazy iterator still finds its next nonzero
+        for c in compress(range(self.dim), v):
+            row = rows.get(c)
+            if row is None:
+                if v[c] < 0:
+                    v[c:] = [-x for x in v[c:]]
+                rows[c] = v
+                insort(self._pivots, c)
+                touched.append(c)
+                break
+            a, b = row[c], v[c]
+            if b % a == 0:
+                f = b // a
+                v[c:] = [x - f * y for x, y in zip(v[c:], row[c:])]
             else:
-                g, s, t = _xgcd(a, v[p])
-                row = self.rows[idx]
-                combined = [s * x + t * y for x, y in zip(row, v)]
-                v = [(a // g) * y - (v[p] // g) * x for x, y in zip(row, v)]
-                self.rows[idx] = combined
-                grew = True  # pivot value shrank: strictly larger lattice
-        pivot = next((c for c, x in enumerate(v) if x), None)
-        if pivot is not None:
-            if v[pivot] < 0:
-                v = [-x for x in v]
-            at = next((k for k, c in enumerate(self._pivot_cols) if c > pivot),
-                      len(self.rows))
-            self.rows.insert(at, v)
-            self._pivot_cols.insert(at, pivot)
-            grew = True
-        return grew
+                g, s, t = _xgcd(a, b)
+                a, b = a // g, b // g
+                tail = row[c:]
+                row[c:] = [s * y + t * x for x, y in zip(v[c:], tail)]
+                v[c:] = [a * x - b * y for x, y in zip(v[c:], tail)]
+                touched.append(c)  # pivot value shrank: strictly larger lattice
+        if touched:
+            self._normalize(touched)
+        return bool(touched)
+
+    def _normalize(self, touched):
+        """Bring every pivot column's other entries back into [0, pivot)
+        after the rows at the touched pivot columns changed.  Whether an
+        entry is in range depends only on its own row and its column's
+        pivot, so a touched row is reduced at every later pivot, and any
+        other row only from the first touched column that it holds out of
+        range on."""
+        rows, pivots = self._rows, self._pivots
+        for k, c in enumerate(pivots):
+            row = rows[c]
+            if c in touched:
+                start = k + 1
+            else:
+                out = next((t for t in touched[bisect(touched, c):]
+                            if not 0 <= row[t] < rows[t][t]), None)
+                if out is None:
+                    continue
+                start = bisect_left(pivots, out)
+            for t in pivots[start:]:
+                f = row[t] // rows[t][t]
+                if f:
+                    row[t:] = [x - f * y for x, y in zip(row[t:], rows[t][t:])]
 
     def full_unimodular(self):
         """True when the lattice is all of Z^dim."""
-        return (len(self.rows) == self.dim
-                and all(r[p] == 1 for r, p in zip(self.rows, self._pivot_cols)))
+        return (len(self._pivots) == self.dim
+                and all(self._rows[c][c] == 1 for c in self._pivots))
 
     def elementary_divisors(self):
         if self.full_unimodular():

@@ -1,5 +1,5 @@
-"""Text syntax for the CLI: Lie/tensor expressions, group words, permutations
-and bracket shapes.
+"""Text syntax for the CLI: Lie/tensor expressions, group words and bracket
+shapes.
 
 Grammar for algebra expressions (column numbers in errors are 1-based):
 
@@ -9,9 +9,8 @@ Grammar for algebra expressions (column numbers in errors are 1-based):
     factor := 'x' int | '[' expr ',' expr ']'
 
 Group words are space-separated generators with optional integer exponents,
-as in ``x1 x2^-1 x1``.  Permutations are cycles ``(1 2 3)(4 5)`` or one-line
-``[2,3,1]``.  A bracket shape is nested square brackets with empty leaves,
-as in ``[[,],]``; the empty string is the single leaf.
+as in ``x1 x2^-1 x1``.  A bracket shape is nested square brackets with
+empty leaves, as in ``[[,],]``; the empty string is the single leaf.
 """
 
 import re
@@ -19,8 +18,7 @@ import re
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidArgument,
                      ParseError, ResourceGuardExceeded)
 from .freelie import LEAF, decompose
-from .words import (TensorElement, check_perm, format_terms, perm_from_cycles,
-                    read_int, tensor_product)
+from .words import TensorElement, format_terms, read_int, tensor_product
 
 _TOKEN = re.compile(r"x\d+|\d+|\[|\]|[+\-*.,]")
 PARSE_DEPTH_GUARD = 200  # deepest nesting read; 238 overflows the stack under pytest
@@ -224,7 +222,7 @@ def eval_lie(ast, n):
 
 
 # ---------------------------------------------------------------------------
-# group words, permutations, shapes
+# group words and shapes
 
 _GROUP_TOKEN = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
 GROUP_WORD_GUARD = 100_000  # longest expanded group word the parser builds
@@ -250,45 +248,6 @@ def parse_group_word(text):
         letters.extend([letter] * count)
     from .freegroup import reduce_word
     return reduce_word(letters)
-
-
-def format_group_word(w):
-    if not w:
-        return "1"
-    parts = []
-    for a in w:
-        parts.append(f"x{a}" if a > 0 else f"x{-a}^-1")
-    return " ".join(parts)
-
-
-def parse_permutation(text, size=None):
-    text = text.strip()
-    if text.startswith("["):
-        body = text[1:-1] if text.endswith("]") else None
-        if body is None:
-            raise InvalidArgument(f"unclosed one-line permutation {text!r}")
-        images = tuple(read_int(a, "permutation entry")
-                       for a in body.split(",") if a.strip())
-        return check_perm(images)
-    cycles = []
-    rest = text
-    while rest:
-        rest = rest.lstrip()
-        if not rest:
-            break
-        if not rest.startswith("("):
-            raise InvalidArgument(f"expected '(' in cycle notation: {rest!r}")
-        close = rest.index(")") if ")" in rest else None
-        if close is None:
-            raise InvalidArgument(f"unclosed cycle in {text!r}")
-        entries = tuple(read_int(a, "permutation entry")
-                        for a in rest[1:close].replace(",", " ").split())
-        cycles.append(entries)
-        rest = rest[close + 1:]
-    q = size if size is not None else max((max(c) for c in cycles if c), default=0)
-    if q == 0:
-        raise InvalidArgument("cannot infer the permutation size; pass it explicitly")
-    return perm_from_cycles(cycles, q)
 
 
 def parse_shape(text):

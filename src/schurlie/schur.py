@@ -90,10 +90,6 @@ class SchurElement:
         return self
 
     @classmethod
-    def from_orbit_data(cls, n, q, data):
-        return cls(n, q, data)
-
-    @classmethod
     def zero(cls, n, q):
         return cls(n, q, {})
 

@@ -10,19 +10,20 @@ representatives, and a randomized transversal is available for
 well-definedness tests.  A transversal given by the caller is checked to be
 one.
 
-transfer evaluates the sum on each sorted word u in one loop over the
-transversal: the blocks of u . sigma^{-1} are read straight off u, each
-factor's image of a block word is computed once per call, and the
-concatenated terms are placed by sigma into one coefficient dict.
+transfer evaluates the sum only on the sorted words u that hold the letters
+of one support word per factor, in one loop over the transversal: the blocks
+of u . sigma^{-1} are read straight off u, each factor's image of a block
+word is computed once per call, and the concatenated terms are placed by
+sigma into one coefficient dict.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, prod
 
 from .errors import DimensionMismatch, InvalidArgument
 from .schur import SchurElement, orbit_data_of_column
 from .words import (TensorElement, _place, check_perm, perm_compose,
-                    sorted_words, young_subgroup_of)
+                    young_subgroup_of)
 
 
 def check_composition(parts):
@@ -142,8 +143,11 @@ def transfer(parts, fs, transversal=None):
     # per factor, its image of each block word met so far, as (word, coeff) pairs
     images = [{} for _ in fs]
 
+    # a column can be nonzero only at the sorted letters of one support word
+    # per factor, whatever the transversal
+    support = {tuple(sorted(sum(us, ()))) for us in product(*(f.data for f in fs))}
     data = {}
-    for u in sorted_words(n, d):
+    for u in sorted(support):
         coeffs = {}
         for sigma in transversal:
             v = tuple([u[s - 1] for s in sigma])  # u . sigma^{-1}

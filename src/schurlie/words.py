@@ -65,10 +65,6 @@ def format_terms(terms, label):
 # ---------------------------------------------------------------------------
 # permutations
 
-def identity_perm(q):
-    return tuple(range(1, q + 1))
-
-
 def is_perm(p):
     return sorted(p) == list(range(1, len(p) + 1))
 

@@ -12,10 +12,9 @@ from schurlie.cli import main
 from schurlie.errors import (DimensionMismatch, IndexOutOfRange,
                              InvalidArgument, ParseError)
 from schurlie.freelie import LEAF, generator, lie_bracket
-from schurlie.parsing import (eval_lie, eval_tensor, format_group_word,
-                              format_tensor, parse_expression,
-                              parse_group_word, parse_permutation, parse_shape)
-from schurlie.words import TensorElement
+from schurlie.parsing import (eval_lie, eval_tensor, format_tensor,
+                              parse_expression, parse_group_word, parse_shape)
+from schurlie.words import TensorElement, check_perm, perm_from_cycles, read_int
 
 
 def test_parse_lie_monomial():
@@ -156,11 +155,44 @@ def test_eval_lie_matches_recursive_oracle(n):
     assert zeros  # the draw reaches zero results
 
 
+def format_group_word(w):
+    """The group word w as parse_group_word reads it."""
+    if not w:
+        return "1"
+    return " ".join(f"x{a}" if a > 0 else f"x{-a}^-1" for a in w)
+
+
+def parse_permutation(text, size=None):
+    """A permutation in cycle notation "(1 2 3)(4 5)" or one-line "[2,3,1]"."""
+    text = text.strip()
+    if text.startswith("["):
+        if not text.endswith("]"):
+            raise InvalidArgument(f"unclosed one-line permutation {text!r}")
+        return check_perm(tuple(read_int(a, "permutation entry")
+                                for a in text[1:-1].split(",") if a.strip()))
+    cycles = []
+    rest = text.lstrip()
+    while rest:
+        if not rest.startswith("("):
+            raise InvalidArgument(f"expected '(' in cycle notation: {rest!r}")
+        if ")" not in rest:
+            raise InvalidArgument(f"unclosed cycle in {text!r}")
+        close = rest.index(")")
+        cycles.append(tuple(read_int(a, "permutation entry")
+                            for a in rest[1:close].replace(",", " ").split()))
+        rest = rest[close + 1:].lstrip()
+    q = size if size is not None else max((max(c) for c in cycles if c), default=0)
+    if q == 0:
+        raise InvalidArgument("cannot infer the permutation size; pass it explicitly")
+    return perm_from_cycles(cycles, q)
+
+
 def test_parse_group_word():
     assert parse_group_word("x1 x2^-1 x1") == (1, -2, 1)
     assert parse_group_word("x1 x1^-1") == ()
     assert parse_group_word("x2^3") == (2, 2, 2)
     assert format_group_word((1, -2)) == "x1 x2^-1"
+    assert parse_group_word(format_group_word((1, -2, -2, 1))) == (1, -2, -2, 1)
     with pytest.raises(InvalidArgument):
         parse_group_word("y1")
 

@@ -12,8 +12,7 @@ from schurlie.derivations import (Derivation, _action_matrices,
                                   derivation_from_vector, derivation_to_vector,
                                   find_annihilating_schur, gamma_generators,
                                   generator_derivation, mtilde_generators,
-                                  schur_act, schur_closure_rank,
-                                  zero_derivation)
+                                  schur_act, schur_closure_rank)
 from schurlie.errors import (DimensionMismatch, InvalidArgument,
                              ResourceGuardExceeded)
 from schurlie.freelie import (LieElement, embed, generator, lie_bracket,
@@ -461,9 +460,9 @@ def test_closure_gamma_rank_three():
 
 def test_closure_rejects_bad_generators():
     with pytest.raises(InvalidArgument):
-        schur_closure_rank(2, [zero_derivation(2, 3)], 4)
+        schur_closure_rank(2, [Derivation(2, 3, [zero_lie(2, 3)] * 2)], 4)
     with pytest.raises(InvalidArgument):
-        schur_closure_rank(3, [zero_derivation(2, 2)], 3)
+        schur_closure_rank(3, [Derivation(2, 2, [zero_lie(2, 2)] * 2)], 3)
 
 
 def test_closure_resource_guard_partial_report():

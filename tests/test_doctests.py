@@ -1,6 +1,7 @@
 import doctest
 
 import schurlie.freelie
+import schurlie.linalg
 import schurlie.words
 
 
@@ -11,4 +12,9 @@ def test_words_doctests():
 
 def test_freelie_doctests():
     failures, tried = doctest.testmod(schurlie.freelie)
+    assert tried and not failures
+
+
+def test_linalg_doctests():
+    failures, tried = doctest.testmod(schurlie.linalg)
     assert tried and not failures

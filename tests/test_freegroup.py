@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurlie import freegroup
 from schurlie.derivations import (commutator_derivation, conjugating_derivation,
                                   der_bracket)
-from schurlie.errors import (InvalidArgument, NotInFiltration,
+from schurlie.errors import (InternalInvariantError, InvalidArgument, NotInFiltration,
                              ResourceGuardExceeded)
 from schurlie.freegroup import (MAGNUS_TRUNCATION_GUARD, AutPair, EndoOnFree,
                                 MagnusSeries, classify_pair, commutator_auto, conjugating_auto,
-                                identity_endo, johnson_image, magnus,
+                                johnson_image, magnus,
                                 reduce_word, verify_mccool, word_commutator,
                                 word_inv, word_mul)
 from schurlie.freelie import generator, lie_bracket
@@ -68,7 +69,7 @@ def test_apply_endo_substitutes_and_reduces():
     chi = conjugating_auto(2, 1, 2).fwd
     assert chi.apply((1, 1)) == (-2, 1, 1, 2)
     assert chi.apply((1, -1)) == ()
-    assert identity_endo(2).apply((1, 2)) == (1, 2)
+    assert EndoOnFree(2, ((1,), (2,))).apply((1, 2)) == (1, 2)
 
 
 def test_compose_endo():
@@ -170,6 +171,18 @@ def test_johnson_depth_check():
         johnson_image(chi, 2)  # moves already in degree 2
     with pytest.raises(ResourceGuardExceeded):
         johnson_image(chi, 9)
+
+
+def test_johnson_image_reads_the_series_layers(monkeypatch):
+    chi = conjugating_auto(3, 1, 2)
+    with pytest.raises(NotInFiltration, match="x_1 moves in degree 2"):
+        johnson_image(chi, 2)
+    # a series that does not start at 1 is an internal fault, not bad input
+    layers = freegroup._magnus_layers
+    monkeypatch.setattr(freegroup, "_magnus_layers",
+                        lambda w, t: [{(): 2}] + layers(w, t)[1:])
+    with pytest.raises(InternalInvariantError):
+        johnson_image(chi, 1)
 
 
 def test_johnson_bracket_compatibility_exhaustive():

@@ -3,7 +3,10 @@ from itertools import product
 
 import pytest
 
+from echelon_lattice import EchelonLattice
 from rational_linalg import nullspace, rank, rref
+from schurlie import derivations
+from schurlie.derivations import mtilde_generators, schur_closure_rank
 from schurlie.linalg import IntegerLattice, snf_with_transforms, solve_integer
 
 
@@ -179,6 +182,80 @@ def test_lattice_rejects_wrong_length():
     lat = IntegerLattice(2)
     with pytest.raises(Exception):
         lat.add([1, 2, 3])
+
+
+def _assert_hermite(lat):
+    # pivots positive in increasing columns, every other entry of a pivot
+    # column in [0, pivot)
+    rows = lat.rows
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+    assert pivots == sorted(set(pivots))
+    for r, p in zip(rows, pivots):
+        assert r[p] > 0
+        assert all(0 <= other[p] < r[p] for other in rows if other is not r)
+
+
+def _assert_same_lattice(lat, oracle):
+    assert lat.rank() == oracle.rank()
+    assert lat.full_unimodular() == oracle.full_unimodular()
+    assert lat.elementary_divisors() == oracle.elementary_divisors()
+
+
+def test_lattice_matches_echelon_oracle_on_random_input():
+    rng = random.Random(7)
+    gcd_steps = negative_leads = 0
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        lat, oracle = IntegerLattice(dim), EchelonLattice(dim)
+        for _ in range(rng.randint(1, 8)):
+            # sparse, scaled and often starting late, so the draw meets
+            # leading entries that do not divide each other and negative ones
+            scale = rng.choice([1, 2, 3, 6])
+            start = rng.randrange(dim)
+            v = [0] * start + [scale * rng.choice([0, 0, 1, -1, 2, -3, 5, -4])
+                               for _ in range(dim - start)]
+            lead = next((x for x in v if x), 0)
+            negative_leads += lead < 0
+            rank_before = lat.rank()
+            grew = lat.add(v)
+            assert grew == oracle.add(v), v
+            gcd_steps += grew and lat.rank() == rank_before
+            _assert_hermite(lat)
+            _assert_same_lattice(lat, oracle)
+        for row in oracle.rows:
+            assert not lat.add(row)  # the same span, not just the same invariants
+        for row in lat.basis_rows():
+            assert not oracle.add(row)
+    assert gcd_steps and negative_leads
+
+
+@pytest.mark.parametrize("n, p", [(2, 8), (3, 4)])
+def test_lattice_matches_echelon_oracle_on_closure_adds(monkeypatch, n, p):
+    sequences = []  # (dim, the vectors added), one per degree
+
+    class Recording(IntegerLattice):
+        def __init__(self, dim):
+            super().__init__(dim)
+            self.added = []
+            sequences.append((dim, self.added))
+
+        def add(self, vec):
+            self.added.append(list(vec))
+            return super().add(vec)
+
+    monkeypatch.setattr(derivations, "IntegerLattice", Recording)
+    report = schur_closure_rank(n, mtilde_generators(n), p)
+    assert len(sequences) == len(report) == p - 1
+    for (dim, added), entry in zip(sequences, report):
+        lat, oracle = IntegerLattice(dim), EchelonLattice(dim)
+        for v in added:
+            assert lat.add(v) == oracle.add(v)
+            assert lat.full_unimodular() == oracle.full_unimodular()
+        _assert_hermite(lat)
+        _assert_same_lattice(lat, oracle)
+        assert lat.elementary_divisors() == entry["elementary_divisors"]
+        if lat.full_unimodular():  # Z^dim in Hermite form is the identity
+            assert lat.rows == [[int(i == j) for j in range(dim)] for i in range(dim)]
 
 
 def _minor_gcd_divisors(A):

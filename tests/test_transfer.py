@@ -3,13 +3,15 @@ import random
 import pytest
 
 from schurlie.errors import DimensionMismatch, InvalidArgument
-from schurlie.schur import SchurElement, orbit_keys, schur_is_equivariant
+from schurlie.schur import (SchurElement, orbit_data_of_column, orbit_keys,
+                            schur_is_equivariant)
 from schurlie.transfer import (GradedSchurElement, boxtimes, coset_id,
                                coset_transversal, is_left_transversal,
                                multinomial, operad_compose, random_transversal,
                                star, transfer, transversal_by_product,
                                young_subgroup)
-from schurlie.words import sorted_words
+from schurlie.words import (TensorElement, act, perm_inverse, sorted_words,
+                            tensor_product, words_of)
 
 
 def _rand_element(n, q, rng, entries=2):
@@ -194,11 +196,25 @@ def test_star_with_zero_factor():
     assert star(SchurElement.scalar(2, 0), f).is_zero()
 
 
+def _direct_sum(fs, parts, transversal, u):
+    """The defining sum of transfer evaluated on the word u."""
+    d = sum(parts)
+    direct = TensorElement(d)
+    for sigma in transversal:
+        v = act(u, perm_inverse(sigma))
+        piece = TensorElement.from_word(())
+        pos = 0
+        for f, a in zip(fs, parts):
+            piece = tensor_product(piece, f.apply_word(v[pos:pos + a]))
+            pos += a
+        direct = direct + piece.act(sigma)
+    return direct
+
+
 def test_transfer_matches_direct_evaluation_on_all_words():
     # the orbit-form result extends equivariantly; evaluating the defining
     # sum directly on every basis word (not only the sorted ones) must agree,
     # for every kind of transversal
-    from schurlie.words import TensorElement, act, perm_inverse, tensor_product, words_of
     rng = random.Random(19)
     for n, parts in [(2, (1, 1)), (2, (2, 1)), (3, (1, 2)), (2, (2, 2)),
                      (3, (1, 1, 1)), (2, (2, 1, 1)), (2, (1, 2, 1))]:
@@ -208,16 +224,41 @@ def test_transfer_matches_direct_evaluation_on_all_words():
                             transversal_by_product(parts)):
             result = transfer(parts, fs, transversal=transversal)
             for u in words_of(n, d):
-                direct = TensorElement(d)
-                for sigma in transversal:
-                    v = act(u, perm_inverse(sigma))
-                    piece = TensorElement.from_word(())
-                    pos = 0
-                    for f, a in zip(fs, parts):
-                        piece = tensor_product(piece, f.apply_word(v[pos:pos + a]))
-                        pos += a
-                    direct = direct + piece.act(sigma)
-                assert result.apply_word(u) == direct, (n, parts, transversal, u)
+                assert result.apply_word(u) == _direct_sum(fs, parts, transversal, u), \
+                    (n, parts, transversal, u)
+
+
+def _transfer_full_scan(parts, fs, transversal):
+    """transfer read off the defining sum at every sorted word, not only at
+    the sorted letters of one support word per factor."""
+    n, d = fs[0].n, sum(parts)
+    data = {}
+    for u in sorted_words(n, d):
+        column = _direct_sum(fs, parts, transversal, u)
+        if not column.is_zero():
+            data[u] = orbit_data_of_column(u, column)
+    return SchurElement(n, d, data)
+
+
+def test_transfer_support_loop_matches_full_scan():
+    rng = random.Random(27)
+    cases = [(2, (1, 1)), (2, (2, 1)), (3, (1, 2)), (3, (2, 2)), (2, (3, 1)),
+             (3, (1, 1, 1)), (2, (2, 1, 1)), (3, (1, 2, 1))]
+    for n, parts in cases:
+        for _ in range(3):
+            fs = [_rand_element(n, a, rng, entries=rng.randint(1, 3)) for a in parts]
+            for transversal in (coset_transversal(parts), random_transversal(parts, rng),
+                                transversal_by_product(parts)):
+                got = transfer(parts, fs, transversal=transversal)
+                want = _transfer_full_scan(parts, fs, transversal)
+                assert got == want, (n, parts, transversal)
+                assert list(got.data) == list(want.data)  # sorted-word order
+        # a factor with an empty support makes every column zero
+        empty = rng.randrange(len(parts))
+        fs = [SchurElement.zero(n, a) if i == empty else _rand_element(n, a, rng)
+              for i, a in enumerate(parts)]
+        got = transfer(parts, fs)
+        assert got.is_zero() and got == _transfer_full_scan(parts, fs, coset_transversal(parts))
 
 
 def test_operad_identity_axioms():
