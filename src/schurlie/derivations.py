@@ -19,13 +19,19 @@ The closure engine computes, degree by degree, the integer lattice spanned by
 everything reachable from a set of degree-2 generators through derivation
 brackets of lower degrees and through the degree-matched action of the
 equivariant-endomorphism basis, reporting rank and elementary divisors
-against the expected n * (number of Lyndon words).
+against the expected n * (number of Lyndon words).  It works on lattice rows
+throughout: block k of a row holds the Lyndon coordinates of the image of
+x_{k+1}.  Once a degree is done, each of its Hermite rows is embedded into
+the tensor algebra once, and a bracket of two rows is the Leibniz pass on
+those images, one decomposition per image, written straight into a row.
 
 The action needs one sweep, not a fixed-point loop: basis(n, p) is a Z-basis
 of the integral Schur algebra, which contains the identity and is closed
 under composition (Green, Polynomial Representations of GL_n, LNM 830,
 1980).  So the span of b.v over every basis element b and every seed v
-contains the seeds and is mapped into itself by every b.
+contains the seeds and is mapped into itself by every b.  The sweep visits
+only the seeds with a nonzero entry in one of b's columns; the others have
+image zero.
 
 The action entries come from the same basis read as orbits of pairs of
 words.  The element {u: {key: 1}} sends a word x with sorted letters u to
@@ -40,7 +46,7 @@ turns those coefficients into Lyndon coordinates.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import compress
 from operator import add
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
@@ -52,8 +58,8 @@ from .freelie import (LieElement, _lyndon_triangle, decompose, embed,
 from .linalg import IntegerLattice, solve_integer
 from .schur import (SchurElement, apply_to_lie, basis_dimension_formula,
                     orbit_keys)
-from .words import (TensorElement, multidegree, rearrangements, sorted_rep,
-                    sorted_words)
+from .words import (TensorElement, _linear_combination, multidegree,
+                    rearrangements, sorted_rep, sorted_words)
 
 CLOSURE_BASIS_GUARD = 600  # largest endomorphism basis the engine will sweep
 
@@ -217,15 +223,19 @@ def der_bracket(D, E):
     algebra and decomposed once."""
     if D.n != E.n:
         raise DimensionMismatch(f"bracket across ranks {D.n} and {E.n}")
-    d_images, e_images = _embedded_images(D), _embedded_images(E)
     degree = D.degree + E.degree - 1
-    images = []
-    for k in range(D.n):
+    return Derivation(D.n, degree, _bracket_images(
+        D.n, degree, _embedded_images(D), _embedded_images(E)))
+
+
+def _bracket_images(n, degree, d_images, e_images):
+    """The generator images of [D, E], in Lyndon coordinates, from the
+    embedded generator images of D and E."""
+    for k in range(n):
         coeffs = {}
         _leibniz(coeffs, d_images, e_images[k], 1)
         _leibniz(coeffs, e_images, d_images[k], -1)
-        images.append(decompose(D.n, _tensor(degree, coeffs)))
-    return Derivation(D.n, degree, images)
+        yield decompose(n, _tensor(degree, coeffs))
 
 
 def schur_act(f, D):
@@ -317,14 +327,27 @@ def derivation_to_vector(D):
     return vec
 
 
-def derivation_from_vector(n, degree, vec):
-    words = lyndon_words(n, degree)
+def _row_images(n, p, row):
+    """A lattice row's generator images in the tensor algebra, as word ->
+    coefficient dicts; block k of the row holds the Lyndon coordinates of
+    the image of x_{k+1}."""
+    words = lyndon_words(n, p)
     W = len(words)
-    images = []
-    for block in range(n):
-        coeffs = {w: c for w, c in zip(words, vec[block * W:(block + 1) * W]) if c}
-        images.append(LieElement._trusted(n, degree, coeffs))
-    return Derivation(n, degree, images)
+    return tuple(
+        _linear_combination(p, ((c, embed_monomial(lyndon_bracketing(w)))
+                                for w, c in zip(words, row[base:base + W]) if c))._coeffs
+        for base in range(0, n * W, W))
+
+
+def _bracket_row(n, degree, index, a, b):
+    """The lattice row of the bracket of two derivations given by their
+    row images; index maps the degree's Lyndon words to their positions."""
+    W = len(index)
+    row = [0] * (n * W)
+    for base, image in zip(range(0, n * W, W), _bracket_images(n, degree, a, b)):
+        for w, c in image.items():
+            row[base + index[w]] = c
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -402,6 +425,21 @@ def _act_on_vector(entries, W, vec):
     return out
 
 
+def _sweep(lattice, mats, W, seeds):
+    """Add the image of every seed under every action entry list to the
+    lattice, stopping once it is Z^dim.  A seed with no nonzero entry in an
+    entry list's columns has image zero and is passed over, as is any other
+    zero image."""
+    supports = [{j % W for j in compress(range(len(vec)), vec)} for vec in seeds]
+    for entries in mats:
+        cols = {c for _, c, _ in entries}
+        for vec, support in zip(seeds, supports):
+            if not cols.isdisjoint(support):
+                image = _act_on_vector(entries, W, vec)
+                if any(image) and lattice.add(image) and lattice.full_unimodular():
+                    return
+
+
 def schur_closure_rank(n, generators, max_degree):
     """Degree-by-degree reachability report for the closure of degree-2
     generators under derivation brackets and the endomorphism action.
@@ -422,30 +460,29 @@ def schur_closure_rank(n, generators, max_degree):
         if D.degree != 2:
             raise InvalidArgument("closure generators must have degree 2")
     report = []
-    reached = {}  # degree -> list of basis Derivations
+    reached = {}  # degree -> the row images of its lattice basis
     for p in range(2, max_degree + 1):
         if basis_dimension_formula(n, p) > CLOSURE_BASIS_GUARD:
             raise ResourceGuardExceeded(
                 f"endomorphism basis at degree {p} exceeds {CLOSURE_BASIS_GUARD} elements",
                 partial=report)
-        W = len(lyndon_words(n, p))
+        words = lyndon_words(n, p)
+        W = len(words)
         dim = n * W
         lattice = IntegerLattice(dim)
         if p == 2:
             for D in generators:
                 lattice.add(derivation_to_vector(D))
+        index = {w: c for c, w in enumerate(words)}
         for p1 in range(2, (p + 3) // 2):
             p2 = p + 1 - p1  # p2 >= p1, and both are below p
             for a_idx, a in enumerate(reached[p1]):
                 start = a_idx + 1 if p1 == p2 else 0
                 for b in reached[p2][start:]:
-                    lattice.add(derivation_to_vector(der_bracket(a, b)))
+                    lattice.add(_bracket_row(n, p, index, a, b))
         seeds = lattice.basis_rows()
         if seeds and not lattice.full_unimodular():
-            for entries, vec in product(_action_matrices(n, p), seeds):
-                image = _act_on_vector(entries, W, vec)
-                if any(image) and lattice.add(image) and lattice.full_unimodular():
-                    break
+            _sweep(lattice, _action_matrices(n, p), W, seeds)
         divisors = lattice.elementary_divisors()
         entry = {
             "degree": p,
@@ -456,5 +493,6 @@ def schur_closure_rank(n, generators, max_degree):
             "saturated": lattice.rank() == dim and all(d == 1 for d in divisors),
         }
         report.append(entry)
-        reached[p] = [derivation_from_vector(n, p, row) for row in lattice.basis_rows()]
+        if p < max_degree:  # nothing brackets the top degree
+            reached[p] = [_row_images(n, p, row) for row in lattice.rows]
     return report

@@ -20,11 +20,11 @@ from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
 from .freelie import LieElement, decompose, embed
 from .words import (TensorElement, _equal_letter_runs, _linear_combination,
-                    act, all_perms, check_word, perm_from_cycles,
+                    act, check_word, perm_from_cycles,
                     perm_sorting_onto, read_int, rearrangements, sorted_rep,
                     sorted_words, stabilizer_orbit_key, words_of)
 
-EQUIVARIANCE_GUARD = 8  # largest q for which Sigma_q is enumerated
+EQUIVARIANCE_GUARD = 8  # largest degree the equivariance checks accept
 SCHUR_BASIS_GUARD = 100_000  # largest basis built, about 2 s of output
 
 
@@ -364,6 +364,9 @@ def equivariant_basis_bruteforce(n, q):
     pairs, a linear system whose equations each identify two coordinates.
     Its solution space is spanned by the indicator maps of the pair classes,
     found by union-find; returned as column maps, ordered by least member.
+    The union-find runs over the q - 1 adjacent transpositions s_i = (i i+1)
+    only: they generate Sigma_q, and the orbits of a group action are the
+    classes of the relation that its generators' moves span.
     """
     if q > EQUIVARIANCE_GUARD or n ** (2 * q) > 4_000_000:
         raise ResourceGuardExceeded(f"brute-force oracle refused for n={n}, q={q}")
@@ -383,8 +386,9 @@ def equivariant_basis_bruteforce(n, q):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for sigma in all_perms(q):
-        moved = [index[act(w, sigma)] for w in words]
+    for i in range(1, q):
+        s_i = perm_from_cycles([(i, i + 1)], q)
+        moved = [index[act(w, s_i)] for w in words]
         for r in range(N):
             mr = moved[r] * N
             rN = r * N

@@ -661,6 +661,16 @@ def test_cli_generation_guard_exit_two(capsys):
     assert "partial" in err
 
 
+def test_cli_dimension_at_the_oracle_guards(capsys):
+    # q = 8 and n^(2q) = 65 536 pass both brute-force guards
+    assert main(["verify", "dimension", "--n", "2", "--max-degree", "8", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"]
+    top = report["instances"][-1]
+    assert (top["q"], top["basis_size"], top["bruteforce_dim"]) == (8, 165, 165)
+    assert top["pass"]
+
+
 def test_cli_json_identical_across_processes():
     # hash randomization differs per process; output bytes must not
     cmd = [sys.executable, "-m", "schurlie.cli", "verify", "star-laws",

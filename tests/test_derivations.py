@@ -9,7 +9,7 @@ from schurlie import derivations
 from schurlie.derivations import (Derivation, _action_matrices,
                                   apply_derivation, commutator_derivation,
                                   conjugating_derivation, der_bracket,
-                                  derivation_from_vector, derivation_to_vector,
+                                  derivation_to_vector,
                                   find_annihilating_schur, gamma_generators,
                                   generator_derivation, mtilde_generators,
                                   schur_act, schur_closure_rank)
@@ -20,7 +20,8 @@ from schurlie.freelie import (LieElement, embed, generator, lie_bracket,
                               normalize, witt_dimension, zero_lie)
 from schurlie.linalg import IntegerLattice
 from schurlie.schur import (SchurElement, apply_to_lie, basis,
-                            letter_substitution, orbit_keys)
+                            basis_dimension_formula, letter_substitution,
+                            orbit_keys)
 from schurlie.words import (multidegree, rearrangements, sorted_rep,
                             sorted_words, stabilizer_orbit_key, words_of)
 
@@ -36,6 +37,16 @@ def _random_lie(rng, n, p, terms=2):
 
 def _random_derivation(rng, n, p):
     return Derivation(n, p, tuple(_random_lie(rng, n, p) for _ in range(n)))
+
+
+def derivation_from_vector(n, degree, vec):
+    """The inverse of derivation_to_vector: block k of vec holds the Lyndon
+    coordinates of the image of x_{k+1}."""
+    words = lyndon_words(n, degree)
+    W = len(words)
+    return Derivation(n, degree, [
+        LieElement(n, degree, {w: c for w, c in zip(words, vec[base:base + W]) if c})
+        for base in range(0, n * W, W)])
 
 
 def test_conjugating_derivation_images():
@@ -471,6 +482,45 @@ def test_closure_resource_guard_partial_report():
     assert isinstance(info.value.partial, list)
 
 
+@pytest.mark.parametrize("n, p", [(3, 5), (4, 4), (5, 3)])
+def test_closure_saturates_past_the_basis_guard(monkeypatch, n, p):
+    # sizes the basis guard refuses, so no pin reaches them: the quadratic
+    # generators must reach Z^dim at every degree (the generation theorem)
+    monkeypatch.setattr(derivations, "CLOSURE_BASIS_GUARD",
+                        basis_dimension_formula(n, p))
+    report = schur_closure_rank(n, mtilde_generators(n), p)
+    assert [e["degree"] for e in report] == list(range(2, p + 1))
+    assert all(e["saturated"] for e in report)
+
+
+@pytest.mark.parametrize("n, p1, p2", [(2, 2, 3), (2, 3, 4), (3, 2, 2), (3, 2, 3)])
+def test_row_bracket_matches_der_bracket(n, p1, p2):
+    # the closure brackets Hermite rows through their embedded images; the
+    # Derivation round trip is the oracle
+    rng = random.Random(31 * n + p1 + p2)
+
+    def hermite_rows(p):
+        lattice = IntegerLattice(n * len(lyndon_words(n, p)))
+        for _ in range(3):
+            lattice.add(derivation_to_vector(_random_derivation(rng, n, p)))
+        return lattice.basis_rows()
+
+    p = p1 + p2 - 1
+    index = {w: c for c, w in enumerate(lyndon_words(n, p))}
+    rows2 = hermite_rows(p2)
+    nonzero = 0
+    for a in hermite_rows(p1):
+        for b in rows2:
+            expected = derivation_to_vector(der_bracket(
+                derivation_from_vector(n, p1, a), derivation_from_vector(n, p2, b)))
+            got = derivations._bracket_row(n, p, index,
+                                           derivations._row_images(n, p1, a),
+                                           derivations._row_images(n, p2, b))
+            assert got == expected
+            nonzero += any(expected)
+    assert nonzero
+
+
 def test_action_matrices_are_the_nonzero_dense_entries():
     # apply_to_lie on every column of every basis element, not only its own
     # block, is the dense oracle; the pair pass must give the same entries,
@@ -522,11 +572,18 @@ def _double_gamma(n):
     return [g.scale(2) for g in gamma_generators(n)]
 
 
+def _double_chi(n):
+    return [conjugating_derivation(n, 1, 2).scale(2)]
+
+
 @pytest.mark.parametrize("n, seeds, max_degree", [
-    (2, _chi_multiples, 5), (3, _chi_multiples, 3), (3, _double_gamma, 3)])
+    (2, _chi_multiples, 5), (3, _chi_multiples, 3), (3, _double_gamma, 3),
+    (3, _double_chi, 3)])
 def test_closure_matches_fixed_point_oracle(n, seeds, max_degree):
     # seeds whose closure never reaches Z^dim, so the one-sweep engine cannot
-    # stop early and must reach the same lattice as the round-by-round one
+    # stop early and must reach the same lattice as the round-by-round one;
+    # a single generator's rows are nonzero on few Lyndon columns, so the
+    # sweep passes over most entry lists for lack of support
     gens = seeds(n)
     report = schur_closure_rank(n, gens, max_degree)
     assert not any(e["saturated"] for e in report)

@@ -224,6 +224,20 @@ def test_decompose_rejects_non_equivariant():
     assert decompose_in_basis(unit, 2, 2) is None
 
 
+@pytest.mark.parametrize("n, q", [(2, 4), (3, 3)])
+def test_bruteforce_classes_are_the_orbits_of_all_permutations(n, q):
+    # the oracle unions along the adjacent transpositions only; its classes
+    # must be the orbits of (row, col) pairs under every element of Sigma_q
+    words = list(words_of(n, q))
+    orbits = {frozenset((act(r, s), act(c, s)) for s in all_perms(q))
+              for r in words for c in words}
+    maps = equivariant_basis_bruteforce(n, q)
+    classes = {frozenset((r, w) for w, col in m.items() for r, _ in col.items())
+               for m in maps}
+    assert len(maps) == len(orbits)
+    assert classes == orbits
+
+
 def test_bruteforce_dimension_matches_dense_nullspace():
     # cross-check the union-find oracle against dense rational elimination
     for n, q in [(2, 2), (2, 3)]:
