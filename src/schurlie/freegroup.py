@@ -308,10 +308,6 @@ class MagnusSeries(SparseCombination):
     def items(self):
         return sorted(self._coeffs.items(), key=lambda wc: (len(wc[0]), wc[0]))
 
-    def homogeneous(self, degree):
-        return TensorElement(degree, {w: c for w, c in self._coeffs.items()
-                                      if len(w) == degree})
-
     def __mul__(self, other):
         truncation = self._same_header(other)[0]
         coeffs = {}

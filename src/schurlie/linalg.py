@@ -1,7 +1,8 @@
 """Exact dense linear algebra over the integers.
 
 An incremental integer lattice kept in Hermite normal form, for ranks and
-saturation checks, and a Smith normal form with transforms for
+saturation checks, and one in-place Smith normal form whose transforms ride
+along as a border of the matrix (Cohen, 1993, section 2.4), for divisors and
 divisibility-aware solving.  Everything stays well under a thousand rows
 and columns, so the implementations favour clarity.
 """
@@ -133,41 +134,33 @@ class IntegerLattice:
     def elementary_divisors(self):
         if self.full_unimodular():
             return [1] * self.dim  # Z^dim needs no Smith form
-        return snf_with_transforms(self.rows)[0]
+        rows = self.basis_rows()  # copies: the elimination works in place
+        return smith_normal_form(rows, len(rows), self.dim)
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def snf_with_transforms(rows):
-    """(diag, U, V) with U * rows * V diagonal, U and V unimodular.
+def smith_normal_form(m, nrows, ncols):
+    """Bring the top-left nrows x ncols block A of m to Smith form U*A*V in
+    place; return its nonzero diagonal, positive d1 | d2 | ... | dr.
 
-    diag is the nonzero part of the Smith form: positive d1 | d2 | ... | dr.
+    Row operations act on whole rows and column operations on whole columns,
+    but every choice reads only the block: a right border B of the block rows
+    ends as U*B, and an identity border below the block ends as V.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
     def row_op(i, q, k):  # row_i -= q * row_k
         m[i] = [a - q * b for a, b in zip(m[i], m[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
 
     def col_op(j, q, k):  # col_j -= q * col_k
         for row in m:
             row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
 
     def row_swap(i, k):
         m[i], m[k] = m[k], m[i]
-        U[i], U[k] = U[k], U[i]
 
     def col_swap(j, k):
         for row in m:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
             row[j], row[k] = row[k], row[j]
 
     top = 0
@@ -201,7 +194,6 @@ def snf_with_transforms(rows):
                 break
         if m[top][top] < 0:
             m[top] = [-a for a in m[top]]
-            U[top] = [-a for a in U[top]]
         d = m[top][top]
         stray = next(((i, j) for i in range(top + 1, nrows)
                       for j in range(top + 1, ncols) if m[i][j] % d), None)
@@ -213,23 +205,24 @@ def snf_with_transforms(rows):
     for prev, nxt in zip(diag, diag[1:]):
         if nxt % prev:
             raise InternalInvariantError("Smith divisors fail the chain condition")
-    return diag, U, V
+    return diag
 
 
 def solve_integer(rows, rhs):
-    """One integer solution of rows*x = rhs, or None when none exists."""
+    """One integer solution of rows*x = rhs, or None when none exists.
+
+    A copy of rows is bordered by rhs on the right and by the identity
+    below, so its Smith form D = U*rows*V leaves U*rhs on the right and V
+    below; then x = V*y for an integer y with D*y = U*rhs.
+    """
     if not rows:
         return None
-    ncols = len(rows[0])
-    diag, U, V = snf_with_transforms(rows)
-    r = len(diag)
-    ub = [sum(u * b for u, b in zip(urow, rhs)) for urow in U]
-    if any(ub[i] for i in range(r, len(ub))):
+    nrows, ncols = len(rows), len(rows[0])
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    m += [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    diag = smith_normal_form(m, nrows, ncols)
+    ub = [row[ncols] for row in m[:nrows]]
+    if any(ub[len(diag):]) or any(b % d for d, b in zip(diag, ub)):
         return None
-    y = []
-    for i in range(r):
-        if ub[i] % diag[i]:
-            return None
-        y.append(ub[i] // diag[i])
-    y += [0] * (ncols - r)
-    return [sum(V[i][k] * y[k] for k in range(ncols)) for i in range(ncols)]
+    y = [b // d for d, b in zip(diag, ub)]
+    return [sum(v * yk for v, yk in zip(row, y)) for row in m[nrows:]]

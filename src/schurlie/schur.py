@@ -7,8 +7,8 @@ stabilizer-orbit key (see words.stabilizer_orbit_key); f extends to every
 word w = u.sigma by f(w) = f(u).sigma, independently of the chosen sigma.
 
 Word-by-word column maps are built only for equivariance checks, over the
-support of an element; the brute-force dimension oracle and
-decompose_in_basis alone scan all n^q words.
+support of an element; the brute-force dimension oracle alone scans all n^q
+words.
 """
 
 import math
@@ -425,7 +425,10 @@ def decompose_in_basis(colmap, n, q):
         data[u] = row
     candidate = SchurElement(n, q, data)
     zero = TensorElement(q)
-    for w in words_of(n, q):
+    # any other word maps to zero under both
+    checked = {w for w, col in colmap.items() if not col.is_zero()}
+    checked.update(w for u in data for w in rearrangements(u))
+    for w in checked:
         if candidate.apply_word(w) != colmap.get(w, zero):
             return None
     return candidate

@@ -5,7 +5,7 @@ It reduces a vector row by row, top down, and never reduces above its
 pivots, so its rows are a basis of the same span but not a canonical one.
 """
 
-from schurlie.linalg import _xgcd, snf_with_transforms
+from schurlie.linalg import _xgcd, smith_normal_form
 
 
 class EchelonLattice:
@@ -62,4 +62,5 @@ class EchelonLattice:
     def elementary_divisors(self):
         if self.full_unimodular():
             return [1] * self.dim
-        return snf_with_transforms(self.rows)[0]
+        rows = [list(r) for r in self.rows]  # the elimination works in place
+        return smith_normal_form(rows, len(rows), self.dim)

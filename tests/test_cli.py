@@ -350,6 +350,10 @@ LEMMA425_PINS = {
         "f62c355ff7015296d2a2a43403255b0d1a3f602d2ed799b48bf575ea4261162d",
     "lemma425 --n 2 --max-degree 7":
         "33f731ae3a47718843f7576e7deac9f4d82f41d31c6362bf8acf2ce98375315f",
+    # the largest solver size pinned: a different valid integer solution of
+    # its Smith solve would change the reported support
+    "lemma425 --n 3 --max-degree 5":
+        "0ff75c498308f9930e50daa52525d14e6960472432d47ce01496452dea7fe3d6",
 }
 
 

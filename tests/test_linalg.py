@@ -7,7 +7,7 @@ from echelon_lattice import EchelonLattice
 from rational_linalg import nullspace, rank, rref
 from schurlie import derivations
 from schurlie.derivations import mtilde_generators, schur_closure_rank
-from schurlie.linalg import IntegerLattice, snf_with_transforms, solve_integer
+from schurlie.linalg import IntegerLattice, smith_normal_form, solve_integer
 
 
 def _det(rows):
@@ -39,15 +39,54 @@ def test_nullspace():
         assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def _smith_diagonal(A):
+    """The Smith diagonal of A, on a copy: the elimination works in place."""
+    rows = [list(r) for r in A]
+    return smith_normal_form(rows, len(rows), len(rows[0]) if rows else 0)
+
+
+def _matmul(X, Y):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _smith_bordered(A, B):
+    """Smith form of A bordered as [A | B ; I | 0]: (diag, the block, the
+    right border, the bottom border) afterwards."""
+    m, k, w = len(A), len(A[0]), len(B[0])
+    M = [list(a) + list(b) for a, b in zip(A, B)]
+    M += [row + [0] * w for row in _identity(k)]
+    diag = smith_normal_form(M, m, k)
+    return diag, [r[:k] for r in M[:m]], [r[k:] for r in M[:m]], [r[:k] for r in M[m:]]
+
+
+def _assert_smith_transforms(A):
+    """Read U and V off the border of [A | I ; I | 0], check U * A * V
+    against the divisors, and return (U, V)."""
+    m, k = len(A), len(A[0])
+    diag, block, U, V = _smith_bordered(A, _identity(m))
+    D = [[diag[i] if i == j and i < len(diag) else 0 for j in range(k)]
+         for i in range(m)]
+    assert _matmul(_matmul(U, A), V) == D
+    assert block == D
+    for prev, nxt in zip(diag, diag[1:]):
+        assert nxt % prev == 0
+    assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+    return U, V
+
+
 def test_smith_normal_form_classic():
     rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    assert snf_with_transforms(rows)[0] == [2, 2, 156]
+    assert _smith_diagonal(rows) == [2, 2, 156]
 
 
 def test_smith_chain_and_rank_deficient():
-    assert snf_with_transforms([[2, 0], [0, 3]])[0] == [1, 6]
-    assert snf_with_transforms([[2, 4], [1, 2]])[0] == [1]
-    assert snf_with_transforms([[0, 0], [0, 0]])[0] == []
+    assert _smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+    assert _smith_diagonal([[2, 4], [1, 2]]) == [1]
+    assert _smith_diagonal([[0, 0], [0, 0]]) == []
 
 
 def test_snf_with_transforms_reconstructs():
@@ -56,19 +95,29 @@ def test_snf_with_transforms_reconstructs():
         m = rng.randint(1, 4)
         k = rng.randint(1, 4)
         A = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(m)]
-        diag, U, V = snf_with_transforms(A)
-        # U * A * V must equal the diagonal matrix of divisors
-        UA = [[sum(U[i][t] * A[t][j] for t in range(m)) for j in range(k)]
-              for i in range(m)]
-        D = [[sum(UA[i][t] * V[t][j] for t in range(k)) for j in range(k)]
-             for i in range(m)]
-        for i in range(m):
-            for j in range(k):
-                expected = diag[i] if i == j and i < len(diag) else 0
-                assert D[i][j] == expected
-        for prev, nxt in zip(diag, diag[1:]):
-            assert nxt % prev == 0
-        assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+        _assert_smith_transforms(A)
+    # all-zero rows, which the elimination must leave below the divisors
+    for A in ([[0, 0, 0], [2, 4, 6], [0, 0, 0]], [[0, 0], [0, 0]], [[0], [0], [3]],
+              [[1, 2], [0, 0], [2, 4]], [[0, 2, 0], [0, 0, 0], [0, 0, 3]]):
+        _assert_smith_transforms(A)
+
+
+def test_smith_border_carries_multicolumn_rhs():
+    # the right border must end as U * B, with the U and V of the identity
+    # border: the elimination reads only the block
+    rng = random.Random(5)
+    cases = [([[2, 0], [0, 3]], [[1, 0, 5], [0, 1, -7]]),  # a stray fold
+             ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [[1, 2], [3, 4], [5, 6]])]
+    for _ in range(20):
+        m, k, w = rng.randint(1, 4), rng.randint(1, 4), rng.randint(2, 3)
+        cases.append(([[rng.randint(-6, 6) for _ in range(k)] for _ in range(m)],
+                      [[rng.randint(-6, 6) for _ in range(w)] for _ in range(m)]))
+    for A, B in cases:
+        U, V = _assert_smith_transforms(A)
+        diag, block, UB, V_b = _smith_bordered(A, B)
+        assert diag == _smith_diagonal(A)
+        assert UB == _matmul(U, B)
+        assert V_b == V
 
 
 def test_solve_integer():
@@ -160,7 +209,7 @@ def test_lattice_matches_smith_on_random_input():
         for v in vecs:
             lat.add(v)
         divisors = lat.elementary_divisors()
-        assert divisors == snf_with_transforms(vecs)[0]
+        assert divisors == _smith_diagonal(vecs)
         assert lat.rank() == rank(vecs)
         assert all(next(x for x in row if x) > 0 for row in lat.rows)
         assert lat.full_unimodular() == (lat.rank() == dim
@@ -285,6 +334,6 @@ def test_smith_matches_minor_gcd_oracle():
     for _ in range(25):
         m, k = rng.randint(1, 3), rng.randint(1, 3)
         A = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(m)]
-        assert snf_with_transforms(A)[0] == _minor_gcd_divisors(A)
-    assert snf_with_transforms([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])[0] \
+        assert _smith_diagonal(A) == _minor_gcd_divisors(A)
+    assert _smith_diagonal([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) \
         == _minor_gcd_divisors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])

@@ -222,6 +222,9 @@ def test_decompose_roundtrip_on_random_combinations():
 def test_decompose_rejects_non_equivariant():
     unit = {(1, 2): TensorElement.from_word((1, 2))}
     assert decompose_in_basis(unit, 2, 2) is None
+    # nonzero only off the sorted words: the candidate is zero, the map is not
+    unsorted = {(2, 1): TensorElement.from_word((2, 1))}
+    assert decompose_in_basis(unsorted, 2, 2) is None
 
 
 @pytest.mark.parametrize("n, q", [(2, 4), (3, 3)])
