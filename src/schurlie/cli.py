@@ -4,6 +4,8 @@ Exit codes: 0 when everything requested passed, 1 when a verification suite
 reports failures, 2 on usage or input errors.  With --json the output is a
 canonical (sorted-keys) document and is byte-identical across runs for the
 same flags and seed; timing is shown only in the human-readable form.
+star, transfer and operad-compose always print their element as JSON, so
+they take no --json flag.
 """
 
 import argparse
@@ -110,13 +112,11 @@ def main(argv=None):
     p = sub.add_parser("star", help="cross-degree product of two elements")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("transfer", help="transversal-summed blockwise product")
     p.add_argument("--parts", required=True, help="composition, e.g. 2,1")
     p.add_argument("--factors", required=True, nargs="+",
                    help="paths or inline JSON documents, one per part")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("magnus", help="truncated expansion of a group word")
     p.add_argument("word", help="e.g. 'x1 x2^-1 x1'")
@@ -127,7 +127,6 @@ def main(argv=None):
     p.add_argument("--theta", required=True)
     p.add_argument("--args", required=True, nargs="+",
                    help="paths or inline JSON documents, one per operation")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("der-bracket", help="bracket of two derivations")
     p.add_argument("--n", type=int, required=True)

@@ -52,14 +52,14 @@ from operator import add
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NoSolutionFound, ResourceGuardExceeded)
 from .freelie import (LieElement, _lyndon_triangle, decompose, embed,
-                      embed_monomial, generator, is_monomial, lie_bracket,
-                      lyndon_bracketing, lyndon_words, monomial_degree,
-                      monomial_letters, monomial_str, normalize, zero_lie)
+                      embed_monomial, is_monomial, lyndon_bracketing,
+                      lyndon_words, monomial_degree, monomial_letters,
+                      monomial_str, normalize, zero_lie)
 from .linalg import IntegerLattice, solve_integer
 from .schur import (SchurElement, apply_to_lie, basis_dimension_formula,
                     orbit_keys)
-from .words import (TensorElement, _linear_combination, multidegree,
-                    rearrangements, sorted_rep, sorted_words)
+from .words import (TensorElement, _linear_combination, rearrangements,
+                    sorted_rep, sorted_words, tensor_product)
 
 CLOSURE_BASIS_GUARD = 600  # largest endomorphism basis the engine will sweep
 
@@ -134,21 +134,31 @@ def generator_derivation(i, w):
     return Derivation(n, w.degree, images)
 
 
-def conjugating_derivation(n, i, j):
-    """x_i maps to [x_i, x_j], all other generators to zero (degree 2)."""
+def _check_pair_indices(n, i, j):
+    """The index rule of the conjugating derivation and automorphism."""
     if i == j:
-        raise InvalidArgument("conjugating derivation needs distinct indices")
+        raise InvalidArgument("need distinct indices")
     if not (1 <= i <= n and 1 <= j <= n):
         raise InvalidArgument(f"indices ({i},{j}) outside 1..{n}")
+
+
+def _check_triple_indices(n, i, s, t):
+    """The index rule of the commutator derivation and automorphism."""
+    if i in (s, t) or not s < t:
+        raise InvalidArgument(f"need i not in {{s,t}} and s < t, got ({i},{s},{t})")
+    if not (1 <= i <= n and 1 <= s and t <= n):
+        raise InvalidArgument(f"indices ({i},{s},{t}) outside 1..{n}")
+
+
+def conjugating_derivation(n, i, j):
+    """x_i maps to [x_i, x_j], all other generators to zero (degree 2)."""
+    _check_pair_indices(n, i, j)
     return generator_derivation(i, normalize(n, (i, j)))
 
 
 def commutator_derivation(n, i, s, t):
     """x_i maps to [x_s, x_t], all other generators to zero (degree 2)."""
-    if i in (s, t) or not s < t:
-        raise InvalidArgument(f"need i not in {{s,t}} and s < t, got ({i},{s},{t})")
-    if not (1 <= i <= n and 1 <= s and t <= n):
-        raise InvalidArgument(f"indices ({i},{s},{t}) outside 1..{n}")
+    _check_triple_indices(n, i, s, t)
     return generator_derivation(i, normalize(n, (s, t)))
 
 
@@ -259,45 +269,46 @@ def find_annihilating_schur(n, i, j, u):
     so that acting by h on the bracket of the conjugating derivation with the
     u-image generator derivation isolates the [x_i, u]-image one exactly.
 
-    The two conditions live in different multidegree blocks (they differ by
-    one occurrence of x_j versus x_i), so h is taken to vanish outside the
-    sorted word block_u of [x_i, u] and the annihilation holds for free.
+    Both sides are built in the tensor algebra from t_u = embed(u).  The two
+    conditions live in different multidegree blocks (they differ by one
+    occurrence of x_j versus x_i), so h is taken to vanish outside the sorted
+    word block_u of fix = [x_i, u] and the annihilation holds for free.
 
     The fixing condition is a linear system over the orbit keys of block_u,
     and it is block-diagonal by multidegree.  The column of a key is the map
-    {block_u: {key: 1}} applied to fix = [x_i, u]; that image is
-    orbit_sum(block_u, key) moved by place permutations, so it lives on the
-    words of key's multidegree.  The right-hand side -fix lives on the
-    rearrangements of block_u, so every other block has right-hand side 0
-    and is solved by zero coefficients.  Only block_u's own block is built:
-    its rows are the distinct rearrangements of block_u, its columns the keys
-    with block_u's letters, all read off one pass over the pairs
-    (_pair_images), and one integer solve over that block does the rest.
+    {block_u: {key: 1}} applied to fix; that image is orbit_sum(block_u, key)
+    moved by place permutations, so it lives on the words of key's
+    multidegree.  The right-hand side -fix lives on the rearrangements of
+    block_u, so every other block has right-hand side 0 and is solved by zero
+    coefficients.  Only block_u's own block is built: its rows are the
+    distinct rearrangements of block_u, its columns the keys with block_u's
+    letters, all read off one pass over the pairs (_pair_images), and one
+    integer solve over that block does the rest.
+
+    A solution always exists: minus the weight idempotent, {block_u:
+    {block_u: -1}}, is -1 on the words of block_u's multidegree and 0 on all
+    others (Green, LNM 830, 1980).  So NoSolutionFound, like a failed check
+    on the h the solve returns, signals a bug.
     """
-    if i == j:
-        raise InvalidArgument("need distinct indices")
+    chi = conjugating_derivation(n, i, j)
     if not is_monomial(u):
         raise InvalidArgument(f"not a Lie monomial tree: {u!r}")
     k = monomial_degree(u)
     if k < 2:
         raise InvalidArgument(f"need a monomial of degree >= 2, got degree {k}")
-    u_el = normalize(n, u)
-    chi = conjugating_derivation(n, i, j)
-    annihilate = embed(apply_derivation(chi, u_el))
-    fix = embed(lie_bracket(generator(n, i), u_el))
+    if max(monomial_letters(u)) > n:
+        raise InvalidArgument(f"letter above rank {n} in {monomial_str(u)}")
+    t_u = embed_monomial(u)
+    x_i = embed_monomial(i)
+    fix = tensor_product(x_i, t_u) - tensor_product(t_u, x_i)
     if fix.is_zero():
         raise InvalidArgument("the bracket [x_i, u] vanishes; nothing to fix")
-
     q = k + 1
-    mdegs = {multidegree(w, n) for w, _ in fix.items()}
-    if len(mdegs) != 1:
-        raise InternalInvariantError("embedded bracket mixes multidegrees")
-    block_u = sorted_rep(next(iter(fix.items()))[0])
-    if not annihilate.is_zero():
-        other = {sorted_rep(w) for w, _ in annihilate.items()}
-        if block_u in other:
-            raise InternalInvariantError("the two defining blocks coincide")
+    coeffs = {}
+    _leibniz(coeffs, _embedded_images(chi), t_u._coeffs, 1)
+    annihilate = _tensor(q, coeffs)
 
+    block_u = sorted_rep(next(iter(fix._coeffs)))
     word_list = rearrangements(block_u)
     images = _pair_images(n, {x: [c] for x, c in fix._coeffs.items()}, word_list)
     keys = sorted(images)

@@ -20,7 +20,8 @@ the image of a group commutator is the derivation bracket of the images.
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NotInFiltration, ResourceGuardExceeded)
-from .derivations import Derivation, conjugating_derivation, der_bracket
+from .derivations import (Derivation, _check_pair_indices, _check_triple_indices,
+                          conjugating_derivation, der_bracket)
 from .freelie import decompose
 from .words import SparseCombination, TensorElement, check_word
 
@@ -166,13 +167,6 @@ class AutPair:
         return AutPair._trusted(fwd, inv)
 
 
-def _check_pair_indices(n, i, j):
-    if i == j:
-        raise InvalidArgument("need distinct indices")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise InvalidArgument(f"indices ({i},{j}) outside 1..{n}")
-
-
 def conjugating_auto(n, i, j):
     """x_i maps to x_j^{-1} x_i x_j, every other generator is fixed."""
     _check_pair_indices(n, i, j)
@@ -185,10 +179,7 @@ def conjugating_auto(n, i, j):
 
 def commutator_auto(n, i, s, t):
     """x_i maps to x_i [x_s, x_t], every other generator is fixed."""
-    if i in (s, t) or not s < t:
-        raise InvalidArgument(f"need i not in {{s,t}} and s < t, got ({i},{s},{t})")
-    if not (1 <= i <= n and 1 <= s and t <= n):
-        raise InvalidArgument(f"indices ({i},{s},{t}) outside 1..{n}")
+    _check_triple_indices(n, i, s, t)
     comm = word_commutator((s,), (t,))
     images = [(k,) for k in range(1, n + 1)]
     images[i - 1] = word_mul((i,), comm)
@@ -203,8 +194,9 @@ def commutator_auto(n, i, s, t):
 def verify_mccool(n):
     """Check every instance of the four relation families at rank n.
 
-    Also records the composition-order cross check: with the opposite order
-    the three-term family must fail somewhere (at rank >= 3).
+    Also records the composition-order cross check, the three-term family
+    under the opposite order.  It passes there too: the relation set is
+    closed under word reversal.
     """
     if n > MCCOOL_RANK_GUARD:
         raise ResourceGuardExceeded(
@@ -324,7 +316,8 @@ class MagnusSeries(SparseCombination):
 
 
 def magnus(w, truncation):
-    """Multiplicative expansion x_i -> 1 + X_i of a reduced group word.
+    """Multiplicative expansion x_i -> 1 + X_i of a group word, freely
+    reduced first.
 
     The word is read one letter at a time into layers[d], the length-d part
     of the series so far, updated in place:
@@ -337,17 +330,18 @@ def magnus(w, truncation):
 
     Entries that become 0 are deleted.
     """
-    layers = _magnus_layers(w, truncation)
+    if truncation < 1:
+        raise InvalidArgument("truncation degree must be >= 1")
+    layers = _magnus_layers(reduce_word(w), truncation)
     return MagnusSeries._trusted(
         truncation, {u: c for layer in layers for u, c in layer.items()})
 
 
 def _magnus_layers(w, truncation):
-    """The layers of magnus(w, truncation): one dict per length 0..truncation."""
-    if truncation < 1:
-        raise InvalidArgument("truncation degree must be >= 1")
+    """The layers of magnus(w, truncation) for a reduced word w and
+    truncation >= 1: one dict per length 0..truncation."""
     layers = [{(): 1}] + [{} for _ in range(truncation)]
-    for a in reduce_word(w):
+    for a in w:
         if a > 0:
             degrees, letter, sign = range(truncation, 0, -1), (a,), 1
         else:

@@ -14,7 +14,7 @@ words.
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
@@ -30,12 +30,8 @@ SCHUR_BASIS_GUARD = 100_000  # largest basis built, about 2 s of output
 
 def orbit_sum(u, key):
     """Sum of the stabilizer orbit of key under the stabilizer of sorted u."""
-    blocks = [key[i:j] for i, j in _equal_letter_runs(u)]
-    coeffs = {}
-    for pieces in product(*(set(permutations(b)) for b in blocks)):
-        w = sum(pieces, ())
-        coeffs[w] = 1
-    return TensorElement._trusted(len(u), coeffs)
+    runs = [rearrangements(key[i:j]) for i, j in _equal_letter_runs(u)]
+    return TensorElement._trusted(len(u), {sum(pieces, ()): 1 for pieces in product(*runs)})
 
 
 @lru_cache(maxsize=None)

@@ -331,7 +331,7 @@ def run_generation(n=3, max_degree=4, seed=0, generators="mtilde"):
 
 def run_mccool(n=3, seed=0):
     """All relation instances of the basis-conjugating presentation, plus the
-    record that the opposite composition order breaks the three-term family."""
+    outcome of the three-term family under the opposite composition order."""
     result = verify_mccool(n)
     instances = []
     for inst in result["instances"]:

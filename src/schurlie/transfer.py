@@ -17,13 +17,13 @@ word is computed once per call, and the concatenated terms are placed by
 sigma into one coefficient dict.
 """
 
-from itertools import combinations, product
+from itertools import product
 from math import factorial, prod
 
 from .errors import DimensionMismatch, InvalidArgument
 from .schur import SchurElement, orbit_data_of_column
-from .words import (TensorElement, _place, check_perm, perm_compose,
-                    young_subgroup_of)
+from .words import (TensorElement, _place, act, check_perm, perm_compose,
+                    perm_sorting_onto, rearrangements, young_subgroup_of)
 
 
 def check_composition(parts):
@@ -33,59 +33,38 @@ def check_composition(parts):
     return parts
 
 
-def composition_blocks(parts):
-    """Consecutive position ranges (1-based, inclusive) covered by each part."""
-    blocks = []
-    start = 1
-    for a in parts:
-        blocks.append(tuple(range(start, start + a)))
-        start += a
-    return blocks
-
-
 def multinomial(parts):
     return factorial(sum(parts)) // prod(factorial(a) for a in parts)
 
 
+def _marker(parts):
+    """The sorted word with parts[i] copies of the letter i + 1: the letter at
+    a position names the block that holds it."""
+    return sum(((i + 1,) * a for i, a in enumerate(parts)), ())
+
+
 def young_subgroup(parts):
-    """The block-preserving subgroup of Sigma_d, as one-line tuples."""
-    parts = check_composition(parts)
-    # reuse the stabilizer enumeration of a sorted word with these block sizes
-    marker = sum(((i + 1,) * a for i, a in enumerate(parts)), ())
-    return young_subgroup_of(marker)
+    """The block-preserving subgroup of Sigma_d, as one-line tuples: the
+    stabilizer of the marker word."""
+    return young_subgroup_of(_marker(check_composition(parts)))
 
 
 def coset_transversal(parts):
     """Minimal-length left coset representatives of the Young subgroup.
 
-    A left coset is determined by the tuple of image sets of the blocks; the
-    shortest representative maps each block onto its image set increasingly.
+    The Young subgroup is the stabilizer of the marker word, so each left
+    coset is labelled by one rearrangement of it (coset_id).  The shortest
+    representative of a label sorts the marker onto it keeping equal letters
+    in order, so it maps each block onto its image set increasingly.
     """
-    parts = check_composition(parts)
-    d = sum(parts)
-    blocks = composition_blocks(parts)
-    out = []
-
-    def assign(remaining, part_idx, images):
-        if part_idx == len(parts):
-            one_line = [0] * d
-            for block, image in zip(blocks, images):
-                for src, dst in zip(block, image):
-                    one_line[src - 1] = dst
-            out.append(tuple(one_line))
-            return
-        for image in combinations(remaining, parts[part_idx]):
-            rest = tuple(x for x in remaining if x not in image)
-            assign(rest, part_idx + 1, images + [image])
-
-    assign(tuple(range(1, d + 1)), 0, [])
-    return out
+    marker = _marker(check_composition(parts))
+    return [perm_sorting_onto(marker, label) for label in rearrangements(marker)]
 
 
 def coset_id(sigma, parts):
-    """The left coset of sigma: the ordered tuple of block image sets."""
-    return tuple(tuple(sorted(sigma[p - 1] for p in block))
-                 for block in composition_blocks(parts))
+    """The left coset of sigma: the marker word moved by sigma, which holds at
+    each position the block that sigma sends there."""
+    return act(_marker(parts), sigma)
 
 
 def is_left_transversal(perms, parts):

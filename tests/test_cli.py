@@ -248,6 +248,19 @@ def test_cli_unknown_subcommand_exits_two():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["star", "--left", "{}", "--right", "{}"],
+    ["transfer", "--parts", "1", "--factors", "{}"],
+    ["operad-compose", "--theta", "{}", "--args", "{}"],
+], ids=["star", "transfer", "operad-compose"])
+def test_cli_json_flag_refused_where_output_is_always_json(capsys, argv):
+    # these commands print JSON whatever the flags, so --json would do nothing
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--json"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_cli_embed_json(capsys):
     assert main(["embed", "[x1,x2]", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -440,11 +440,46 @@ def test_find_annihilating_schur_block_matrix(monkeypatch, n, max_k):
                     assert systems.pop() == (rows, rhs)
 
 
+@pytest.mark.parametrize("n, max_k", [(2, 7), (3, 5), (4, 3)])
+def test_find_annihilating_schur_against_weight_idempotent(n, max_k):
+    # independent oracle: minus the weight idempotent of block_u is the
+    # identity on fix's multidegree up to sign and zero on annihilate's, so
+    # it meets both conditions and isolates f_{i,[x_i,u]}; whatever solution
+    # the Smith solve picks must act on the bracket as it does
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            chi = conjugating_derivation(n, i, j)
+            for k in range(2, max_k + 1):
+                for tree in lyndon_basis(n, k):
+                    u = normalize(n, tree)
+                    xi_u = lie_bracket(generator(n, i), u)
+                    block_u = sorted_rep(embed(xi_u).support()[0])
+                    h0 = SchurElement(n, k + 1, {block_u: {block_u: -1}})
+                    assert h0.apply(embed(apply_derivation(chi, u))).is_zero()
+                    assert apply_to_lie(h0, xi_u) == -xi_u
+                    bracket = der_bracket(chi, generator_derivation(j, u))
+                    isolated = schur_act(h0, bracket)
+                    assert isolated == generator_derivation(i, xi_u)
+                    h = find_annihilating_schur(n, i, j, tree)
+                    assert schur_act(h, bracket) == isolated
+
+
 def test_find_annihilating_schur_rejects_degree_one():
     with pytest.raises(InvalidArgument):
         find_annihilating_schur(3, 1, 2, 1)
     with pytest.raises(InvalidArgument):
         find_annihilating_schur(3, 1, 1, (2, 3))
+
+
+def test_find_annihilating_schur_rejects_bad_indices_and_letters():
+    with pytest.raises(InvalidArgument, match="outside 1..3"):
+        find_annihilating_schur(3, 1, 4, (2, 3))
+    with pytest.raises(InvalidArgument, match="letter above rank 3 in \\[x2,x4\\]"):
+        find_annihilating_schur(3, 1, 2, (2, 4))
+    with pytest.raises(InvalidArgument, match="vanishes"):
+        find_annihilating_schur(3, 1, 2, (2, 2))
 
 
 def test_closure_empty_generators():

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -44,6 +45,50 @@ def test_transversal_validity_and_minimality():
                 images = [sigma[t] for t in range(start, start + a)]
                 assert images == sorted(images)
             start += a
+
+
+def _compositions(d):
+    """Every composition of d, as tuples of positive parts."""
+    if d == 0:
+        return [()]
+    return [(a,) + rest for a in range(1, d + 1) for rest in _compositions(d - a)]
+
+
+def _block_image_sets(sigma, parts):
+    images, start = [], 0
+    for a in parts:
+        images.append(frozenset(sigma[start:start + a]))
+        start += a
+    return tuple(images)
+
+
+def test_transversal_equals_block_increasing_permutations():
+    # brute force: the minimal-length representatives are exactly the
+    # permutations increasing on every block
+    for d in range(1, 7):
+        for parts in _compositions(d):
+            expected = set()
+            for sigma in permutations(range(1, d + 1)):
+                start = 0
+                for a in parts:
+                    if list(sigma[start:start + a]) != sorted(sigma[start:start + a]):
+                        break
+                    start += a
+                else:
+                    expected.add(sigma)
+            reps = coset_transversal(parts)
+            assert len(reps) == len(expected) and set(reps) == expected, parts
+
+
+def test_coset_id_matches_block_image_sets():
+    # equal coset_id exactly when the tuples of block image sets are equal:
+    # the pairs (id, sets) over all of Sigma_d define a bijection
+    for d in range(1, 7):
+        for parts in _compositions(d):
+            pairs = {(coset_id(sigma, parts), _block_image_sets(sigma, parts))
+                     for sigma in permutations(range(1, d + 1))}
+            assert (len(pairs) == len({a for a, _ in pairs})
+                    == len({b for _, b in pairs}) == multinomial(parts)), parts
 
 
 def test_young_subgroup_size():
