@@ -19,19 +19,23 @@ The closure engine computes, degree by degree, the integer lattice spanned by
 everything reachable from a set of degree-2 generators through derivation
 brackets of lower degrees and through the degree-matched action of the
 equivariant-endomorphism basis, reporting rank and elementary divisors
-against the expected n * (number of Lyndon words).  It works on lattice rows
-throughout: block k of a row holds the Lyndon coordinates of the image of
-x_{k+1}.  Once a degree is done, each of its Hermite rows is embedded into
-the tensor algebra once, and a bracket of two rows is the Leibniz pass on
-those images, one decomposition per image, written straight into a row.
+against the expected n * (number of Lyndon words).  It keeps one lattice per
+multidegree block, the Lyndon words with the same sorted letters u; slot k of
+a block row holds the Lyndon coordinates of the image of x_{k+1} at the
+block's words.  Once a degree is done, each Hermite row of each block is
+embedded into the tensor algebra once, and a bracket of two rows is the
+Leibniz pass on those images, one decomposition per image, split into block
+rows.  By bilinearity, any Z-basis of a degree brackets to the same span.
 
 The action needs one sweep, not a fixed-point loop: basis(n, p) is a Z-basis
 of the integral Schur algebra, which contains the identity and is closed
 under composition (Green, Polynomial Representations of GL_n, LNM 830,
 1980).  So the span of b.v over every basis element b and every seed v
-contains the seeds and is mapped into itself by every b.  The sweep visits
-only the seeds with a nonzero entry in one of b's columns; the others have
-image zero.
+contains the seeds and is mapped into itself by every b.  The blocks lose
+nothing: {u: {key: 1}} reads block u and writes block sorted_rep(key), and
+the weight idempotent {u: {u: 1}} is the identity on block u, so the swept
+span is the direct sum of its block projections, and Hermite normal form is
+unique to the span.
 
 The action entries come from the same basis read as orbits of pairs of
 words.  The element {u: {key: 1}} sends a word x with sorted letters u to
@@ -46,7 +50,6 @@ turns those coefficients into Lyndon coordinates.
 """
 
 from functools import lru_cache
-from itertools import compress
 from operator import add
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
@@ -55,11 +58,10 @@ from .freelie import (LieElement, _lyndon_triangle, decompose, embed,
                       embed_monomial, is_monomial, lyndon_bracketing,
                       lyndon_words, monomial_degree, monomial_letters,
                       monomial_str, normalize, zero_lie)
-from .linalg import IntegerLattice, solve_integer
-from .schur import (SchurElement, apply_to_lie, basis_dimension_formula,
-                    orbit_keys)
+from .linalg import IntegerLattice, smith_normal_form, solve_integer
+from .schur import SchurElement, apply_to_lie, basis_dimension_formula
 from .words import (TensorElement, _linear_combination, rearrangements,
-                    sorted_rep, sorted_words, tensor_product)
+                    sorted_rep, tensor_product)
 
 CLOSURE_BASIS_GUARD = 600  # largest endomorphism basis the engine will sweep
 
@@ -330,80 +332,69 @@ def find_annihilating_schur(n, i, j, u):
 # ---------------------------------------------------------------------------
 # the closure rank engine
 
-def derivation_to_vector(D):
-    words = lyndon_words(D.n, D.degree)
-    vec = []
-    for img in D.images:
-        vec.extend(img.coeff(w) for w in words)
-    return vec
+@lru_cache(maxsize=None)
+def _blocks(n, p):
+    """Sorted letters u, increasing -> {Lyndon word with u's letters: its
+    position in u's block}.  Slot k of a block row, of width len(block),
+    holds the Lyndon coordinates of the image of x_{k+1} at those words."""
+    blocks = {}
+    for w in lyndon_words(n, p):
+        block = blocks.setdefault(sorted_rep(w), {})
+        block[w] = len(block)
+    return dict(sorted(blocks.items()))
 
 
-def _row_images(n, p, row):
-    """A lattice row's generator images in the tensor algebra, as word ->
-    coefficient dicts; block k of the row holds the Lyndon coordinates of
-    the image of x_{k+1}."""
-    words = lyndon_words(n, p)
+def _block_rows(n, p, images):
+    """Sorted letters -> block row of a degree-p derivation, given by its
+    generator images; blocks where it vanishes are left out."""
+    blocks = _blocks(n, p)
+    rows = {}
+    for k, image in enumerate(images):
+        for w, c in image._coeffs.items():
+            u = sorted_rep(w)
+            block = blocks[u]
+            row = rows.setdefault(u, [0] * (n * len(block)))
+            row[k * len(block) + block[w]] = c
+    return rows
+
+
+def _row_images(p, words, row):
+    """A block row's generator images in the tensor algebra, as word ->
+    coefficient dicts; slot k of the row holds the Lyndon coordinates of the
+    image of x_{k+1} at words, in their order."""
     W = len(words)
     return tuple(
         _linear_combination(p, ((c, embed_monomial(lyndon_bracketing(w)))
                                 for w, c in zip(words, row[base:base + W]) if c))._coeffs
-        for base in range(0, n * W, W))
-
-
-def _bracket_row(n, degree, index, a, b):
-    """The lattice row of the bracket of two derivations given by their
-    row images; index maps the degree's Lyndon words to their positions."""
-    W = len(index)
-    row = [0] * (n * W)
-    for base, image in zip(range(0, n * W, W), _bracket_images(n, degree, a, b)):
-        for w, c in image.items():
-            row[base + index[w]] = c
-    return row
+        for base in range(0, len(row), W))
 
 
 @lru_cache(maxsize=None)
-def _action_matrices(n, p):
-    """Per basis endomorphism, in basis(n, p) order, its nonzero
-    (row, col, value) entries on Lyndon coordinates, sorted by column and
-    then row; elements with no entries are left out.  The element
-    {u: {key: 1}} vanishes on every Lyndon word whose sorted letters are not
-    u, and the pair pass over u's block (module docstring) gives the
-    entries of every key of u at once."""
-    words = lyndon_words(n, p)
-    blocks = {}  # sorted letters -> indices of the Lyndon words with them
-    for c, w in enumerate(words):
-        blocks.setdefault(sorted_rep(w), []).append(c)
-    mats = []
-    for u in sorted_words(n, p):  # the order of basis(n, p)
-        if u in blocks:
-            images = _block_action(n, p, blocks, u)
-            mats.extend(images[key] for key in orbit_keys(n, u) if key in images)
-    return tuple(mats)
-
-
-def _block_action(n, p, blocks, u):
-    """The entries of each basis element {u: {key: 1}} that has any, by key."""
-    words = lyndon_words(n, p)
-    cols = blocks[u]
-    zero = [0] * len(cols)
+def _block_action(n, p, u):
+    """The nonzero (row, col, value) entries of each basis element
+    {u: {key: 1}} that has any, by key, sorted by column and then row; col
+    is a position in u's block, row one in sorted_rep(key)'s.  The pair pass
+    over u's block (module docstring) gives the entries of every key at
+    once."""
+    blocks = _blocks(n, p)
+    zero = [0] * len(blocks[u])
     embedded = {}  # word x -> its coefficient in embed(P_w), per column w
-    for j, c in enumerate(cols):
-        for x, e in embed_monomial(lyndon_bracketing(words[c]))._coeffs.items():
-            embedded.setdefault(x, list(zero))[j] = e
+    for c, w in enumerate(blocks[u]):
+        for x, e in embed_monomial(lyndon_bracketing(w))._coeffs.items():
+            embedded.setdefault(x, list(zero))[c] = e
     triangle = _lyndon_triangle(n, p)
     images = {}
-    for key, image in _pair_images(n, embedded, words).items():
+    for key, image in _pair_images(n, embedded, lyndon_words(n, p)).items():
         coords = []  # (row, Lyndon coordinate per column), rows increasing
-        for r in blocks[sorted_rep(key)]:
-            l = words[r]
+        for l, r in blocks[sorted_rep(key)].items():
             v = image.get(l)
             if v is None or not any(v):
                 continue
             coords.append((r, v))
             for m, t in triangle[l]:
                 image[m] = [a - t * b for a, b in zip(image.get(m, zero), v)]
-        entries = tuple((r, c, v[j]) for j, c in enumerate(cols)
-                        for r, v in coords if v[j])
+        entries = tuple((r, c, v[c]) for c in range(len(zero))
+                        for r, v in coords if v[c])
         if entries:
             images[key] = entries
     return images
@@ -426,38 +417,36 @@ def _pair_images(n, sources, targets):
     return {tuple(v % base for v in code): image for code, image in by_code.items()}
 
 
-def _act_on_vector(entries, W, vec):
-    out = [0] * len(vec)
-    for base in range(0, len(vec), W):
+def _act_on_row(entries, n, width, row):
+    """A block row's image under an entry list, in a block of the given width."""
+    out = [0] * (n * width)
+    for s, t in zip(range(0, len(row), len(row) // n), range(0, len(out), width)):
         for r, c, x in entries:
-            y = vec[base + c]
+            y = row[s + c]
             if y:
-                out[base + r] += x * y
+                out[t + r] += x * y
     return out
 
 
-def _sweep(lattice, mats, W, seeds):
-    """Add the image of every seed under every action entry list to the
-    lattice, stopping once it is Z^dim.  A seed with no nonzero entry in an
-    entry list's columns has image zero and is passed over, as is any other
-    zero image."""
-    supports = [{j % W for j in compress(range(len(vec)), vec)} for vec in seeds]
-    for entries in mats:
-        cols = {c for _, c, _ in entries}
-        for vec, support in zip(seeds, supports):
-            if not cols.isdisjoint(support):
-                image = _act_on_vector(entries, W, vec)
-                if any(image) and lattice.add(image) and lattice.full_unimodular():
-                    return
+def _merged_divisors(per_block):
+    """The elementary divisors of a direct sum from its summands': the ones,
+    then the Smith form of the diagonal of the rest (2, 4, 6 give 2, 2, 12)."""
+    divisors = [d for block in per_block for d in block]
+    rest = [d for d in divisors if d > 1]
+    diagonal = [[d * (i == j) for j in range(len(rest))] for i, d in enumerate(rest)]
+    return ([1] * (len(divisors) - len(rest))
+            + smith_normal_form(diagonal, len(rest), len(rest)))
 
 
 def schur_closure_rank(n, generators, max_degree):
     """Degree-by-degree reachability report for the closure of degree-2
     generators under derivation brackets and the endomorphism action.
 
-    The seeds of a degree are the generators (degree 2) or the brackets of
-    lower degrees.  Every basis endomorphism then acts once on every seed row
-    (one sweep, see the module docstring), stopping once the lattice is Z^dim.
+    Each degree keeps one lattice per multidegree block.  Its seeds, the
+    generators (degree 2) or the brackets of lower degrees, go in as block
+    rows.  Then every basis endomorphism {u: {key: 1}} acts once on every
+    row of block u, into the lattice of sorted_rep(key) until that lattice
+    is Z^dim (one sweep, see the module docstring).
 
     Returns one dict per degree 2..max_degree with the reached rank over the
     rationals, the full rank n * witt_dimension(n, p), and the elementary
@@ -471,39 +460,49 @@ def schur_closure_rank(n, generators, max_degree):
         if D.degree != 2:
             raise InvalidArgument("closure generators must have degree 2")
     report = []
-    reached = {}  # degree -> the row images of its lattice basis
+    reached = {}  # degree -> the row images of its block lattices' rows
     for p in range(2, max_degree + 1):
         if basis_dimension_formula(n, p) > CLOSURE_BASIS_GUARD:
             raise ResourceGuardExceeded(
                 f"endomorphism basis at degree {p} exceeds {CLOSURE_BASIS_GUARD} elements",
                 partial=report)
-        words = lyndon_words(n, p)
-        W = len(words)
-        dim = n * W
-        lattice = IntegerLattice(dim)
-        if p == 2:
-            for D in generators:
-                lattice.add(derivation_to_vector(D))
-        index = {w: c for c, w in enumerate(words)}
+        blocks = _blocks(n, p)
+        lattices = {u: IntegerLattice(n * len(block)) for u, block in blocks.items()}
+        seeds = [D.images for D in generators] if p == 2 else []
         for p1 in range(2, (p + 3) // 2):
             p2 = p + 1 - p1  # p2 >= p1, and both are below p
             for a_idx, a in enumerate(reached[p1]):
                 start = a_idx + 1 if p1 == p2 else 0
-                for b in reached[p2][start:]:
-                    lattice.add(_bracket_row(n, p, index, a, b))
-        seeds = lattice.basis_rows()
-        if seeds and not lattice.full_unimodular():
-            _sweep(lattice, _action_matrices(n, p), W, seeds)
-        divisors = lattice.elementary_divisors()
+                seeds.extend(_bracket_images(n, p, a, b) for b in reached[p2][start:])
+        for images in seeds:
+            for u, row in _block_rows(n, p, images).items():
+                lattices[u].add(row)
+        for u, lattice in lattices.items():
+            rows = lattice.basis_rows()
+            if not rows:
+                continue
+            for key, entries in _block_action(n, p, u).items():
+                target = lattices[sorted_rep(key)]
+                if target.full_unimodular():
+                    continue
+                for row in rows:
+                    image = _act_on_row(entries, n, target.dim // n, row)
+                    if target.add(image) and target.full_unimodular():
+                        break
+        rank = sum(lattice.rank() for lattice in lattices.values())
+        dim = n * len(lyndon_words(n, p))
+        divisors = _merged_divisors(
+            [lattice.elementary_divisors() for lattice in lattices.values()])
         entry = {
             "degree": p,
             "degree_doubled": 2 * p,
-            "reached_rank": lattice.rank(),
+            "reached_rank": rank,
             "full_rank": dim,
             "elementary_divisors": divisors,
-            "saturated": lattice.rank() == dim and all(d == 1 for d in divisors),
+            "saturated": rank == dim and all(d == 1 for d in divisors),
         }
         report.append(entry)
         if p < max_degree:  # nothing brackets the top degree
-            reached[p] = [_row_images(n, p, row) for row in lattice.rows]
+            reached[p] = [_row_images(p, blocks[u], row)
+                          for u, lattice in lattices.items() for row in lattice.rows]
     return report

@@ -89,11 +89,6 @@ def perm_compose(p, q):
     return tuple(p[q[t] - 1] for t in range(len(p)))
 
 
-def all_perms(q):
-    """All of Sigma_q in one-line notation, lexicographic order."""
-    return permutations(range(1, q + 1))
-
-
 def perm_cycles(p):
     """Disjoint cycles of length >= 2, each starting at its least element."""
     seen = [False] * len(p)

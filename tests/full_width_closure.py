@@ -1,0 +1,127 @@
+"""The closure engine that schurlie.derivations.schur_closure_rank's block
+lattices replaced, kept as an oracle for them, used by the tests only.
+
+It keeps one lattice over all n * W coordinates of a degree (block k of a
+row holds the Lyndon coordinates of the image of x_{k+1}), brackets its
+Hermite rows, and sweeps every seed through the action entries of every
+basis endomorphism, passing over a seed with no nonzero entry in an entry
+list's columns.
+"""
+
+from functools import lru_cache
+from itertools import compress
+
+from schurlie.derivations import _bracket_images, _pair_images, _row_images
+from schurlie.freelie import (_lyndon_triangle, embed_monomial,
+                              lyndon_bracketing, lyndon_words)
+from schurlie.linalg import IntegerLattice
+from schurlie.schur import orbit_keys
+from schurlie.words import sorted_rep, sorted_words
+
+
+def _bracket_row(n, degree, index, a, b):
+    """The lattice row of the bracket of two derivations given by their
+    row images; index maps the degree's Lyndon words to their positions."""
+    W = len(index)
+    row = [0] * (n * W)
+    for base, image in zip(range(0, n * W, W), _bracket_images(n, degree, a, b)):
+        for w, c in image.items():
+            row[base + index[w]] = c
+    return row
+
+
+@lru_cache(maxsize=None)
+def _action_matrices(n, p):
+    """Per basis endomorphism, in basis(n, p) order, its nonzero
+    (row, col, value) entries on the degree's Lyndon coordinates, sorted by
+    column and then row; elements with no entries are left out."""
+    words = lyndon_words(n, p)
+    blocks = {}  # sorted letters -> indices of the Lyndon words with them
+    for c, w in enumerate(words):
+        blocks.setdefault(sorted_rep(w), []).append(c)
+    mats = []
+    for u in sorted_words(n, p):  # the order of basis(n, p)
+        if u in blocks:
+            images = _block_action(n, p, blocks, u)
+            mats.extend(images[key] for key in orbit_keys(n, u) if key in images)
+    return tuple(mats)
+
+
+def _block_action(n, p, blocks, u):
+    """The entries of each basis element {u: {key: 1}} that has any, by key,
+    with rows and columns indexing all the degree's Lyndon words."""
+    words = lyndon_words(n, p)
+    cols = blocks[u]
+    zero = [0] * len(cols)
+    embedded = {}  # word x -> its coefficient in embed(P_w), per column w
+    for j, c in enumerate(cols):
+        for x, e in embed_monomial(lyndon_bracketing(words[c]))._coeffs.items():
+            embedded.setdefault(x, list(zero))[j] = e
+    triangle = _lyndon_triangle(n, p)
+    images = {}
+    for key, image in _pair_images(n, embedded, words).items():
+        coords = []  # (row, Lyndon coordinate per column), rows increasing
+        for r in blocks[sorted_rep(key)]:
+            l = words[r]
+            v = image.get(l)
+            if v is None or not any(v):
+                continue
+            coords.append((r, v))
+            for m, t in triangle[l]:
+                image[m] = [a - t * b for a, b in zip(image.get(m, zero), v)]
+        entries = tuple((r, c, v[j]) for j, c in enumerate(cols)
+                        for r, v in coords if v[j])
+        if entries:
+            images[key] = entries
+    return images
+
+
+def _act_on_vector(entries, W, vec):
+    out = [0] * len(vec)
+    for base in range(0, len(vec), W):
+        for r, c, x in entries:
+            y = vec[base + c]
+            if y:
+                out[base + r] += x * y
+    return out
+
+
+def _sweep(lattice, mats, W, seeds):
+    """Add the image of every seed under every action entry list to the
+    lattice, stopping once it is Z^dim.  A seed with no nonzero entry in an
+    entry list's columns has image zero and is passed over."""
+    supports = [{j % W for j in compress(range(len(vec)), vec)} for vec in seeds]
+    for entries in mats:
+        cols = {c for _, c, _ in entries}
+        for vec, support in zip(seeds, supports):
+            if not cols.isdisjoint(support):
+                image = _act_on_vector(entries, W, vec)
+                if any(image) and lattice.add(image) and lattice.full_unimodular():
+                    return
+
+
+def full_width_lattices(n, generator_vectors, max_degree):
+    """The closure's lattice at each degree 2..max_degree, one n * W-wide
+    IntegerLattice per degree, from the degree-2 generators' vectors."""
+    lattices = []
+    reached = {}  # degree -> the row images of its lattice basis
+    for p in range(2, max_degree + 1):
+        words = lyndon_words(n, p)
+        W = len(words)
+        lattice = IntegerLattice(n * W)
+        if p == 2:
+            for vec in generator_vectors:
+                lattice.add(vec)
+        index = {w: c for c, w in enumerate(words)}
+        for p1 in range(2, (p + 3) // 2):
+            p2 = p + 1 - p1
+            for a_idx, a in enumerate(reached[p1]):
+                start = a_idx + 1 if p1 == p2 else 0
+                for b in reached[p2][start:]:
+                    lattice.add(_bracket_row(n, p, index, a, b))
+        seeds = lattice.basis_rows()
+        if seeds and not lattice.full_unimodular():
+            _sweep(lattice, _action_matrices(n, p), W, seeds)
+        lattices.append(lattice)
+        reached[p] = [_row_images(p, words, row) for row in lattice.rows]
+    return lattices

@@ -1,15 +1,16 @@
 import random
-from itertools import permutations, product
+from itertools import cycle, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from full_width_closure import full_width_lattices
 from rational_linalg import rank
 from schurlie import derivations
-from schurlie.derivations import (Derivation, _action_matrices,
-                                  apply_derivation, commutator_derivation,
+from schurlie.derivations import (Derivation, _block_action, _block_rows,
+                                  _blocks, _merged_divisors, apply_derivation,
+                                  commutator_derivation,
                                   conjugating_derivation, der_bracket,
-                                  derivation_to_vector,
                                   find_annihilating_schur, gamma_generators,
                                   generator_derivation, mtilde_generators,
                                   schur_act, schur_closure_rank)
@@ -39,10 +40,21 @@ def _random_derivation(rng, n, p):
     return Derivation(n, p, tuple(_random_lie(rng, n, p) for _ in range(n)))
 
 
-def derivation_from_vector(n, degree, vec):
-    """The inverse of derivation_to_vector: block k of vec holds the Lyndon
-    coordinates of the image of x_{k+1}."""
-    words = lyndon_words(n, degree)
+def derivation_to_vector(D):
+    """Block k of the vector holds the Lyndon coordinates of the image of
+    x_{k+1}."""
+    words = lyndon_words(D.n, D.degree)
+    vec = []
+    for img in D.images:
+        vec.extend(img.coeff(w) for w in words)
+    return vec
+
+
+def derivation_from_vector(n, degree, vec, words=None):
+    """The inverse of derivation_to_vector, or, given words, of a row whose
+    slot k holds the coordinates of the image of x_{k+1} at those words."""
+    if words is None:
+        words = lyndon_words(n, degree)
     W = len(words)
     return Derivation(n, degree, [
         LieElement(n, degree, {w: c for w, c in zip(words, vec[base:base + W]) if c})
@@ -517,7 +529,7 @@ def test_closure_resource_guard_partial_report():
     assert isinstance(info.value.partial, list)
 
 
-@pytest.mark.parametrize("n, p", [(3, 5), (4, 4), (5, 3)])
+@pytest.mark.parametrize("n, p", [(3, 5), (3, 6), (4, 4), (5, 3)])
 def test_closure_saturates_past_the_basis_guard(monkeypatch, n, p):
     # sizes the basis guard refuses, so no pin reaches them: the quadratic
     # generators must reach Z^dim at every degree (the generation theorem)
@@ -530,46 +542,55 @@ def test_closure_saturates_past_the_basis_guard(monkeypatch, n, p):
 
 @pytest.mark.parametrize("n, p1, p2", [(2, 2, 3), (2, 3, 4), (3, 2, 2), (3, 2, 3)])
 def test_row_bracket_matches_der_bracket(n, p1, p2):
-    # the closure brackets Hermite rows through their embedded images; the
-    # Derivation round trip is the oracle
+    # the closure brackets block Hermite rows through their embedded images;
+    # the Derivation round trip is the oracle
     rng = random.Random(31 * n + p1 + p2)
 
     def hermite_rows(p):
-        lattice = IntegerLattice(n * len(lyndon_words(n, p)))
+        """(derivation, row images) for each Hermite row of the block
+        lattices of three random derivations"""
+        blocks = _blocks(n, p)
+        lattices = {u: IntegerLattice(n * len(block)) for u, block in blocks.items()}
         for _ in range(3):
-            lattice.add(derivation_to_vector(_random_derivation(rng, n, p)))
-        return lattice.basis_rows()
+            for u, row in _block_rows(n, p, _random_derivation(rng, n, p).images).items():
+                lattices[u].add(row)
+        return [(derivation_from_vector(n, p, row, tuple(blocks[u])),
+                 derivations._row_images(p, tuple(blocks[u]), row))
+                for u, lattice in lattices.items() for row in lattice.rows]
 
     p = p1 + p2 - 1
-    index = {w: c for c, w in enumerate(lyndon_words(n, p))}
     rows2 = hermite_rows(p2)
     nonzero = 0
-    for a in hermite_rows(p1):
-        for b in rows2:
-            expected = derivation_to_vector(der_bracket(
-                derivation_from_vector(n, p1, a), derivation_from_vector(n, p2, b)))
-            got = derivations._bracket_row(n, p, index,
-                                           derivations._row_images(n, p1, a),
-                                           derivations._row_images(n, p2, b))
+    for D, a in hermite_rows(p1):
+        for E, b in rows2:
+            expected = _block_rows(n, p, der_bracket(D, E).images)
+            got = _block_rows(n, p, derivations._bracket_images(n, p, a, b))
             assert got == expected
-            nonzero += any(expected)
+            nonzero += bool(expected)
     assert nonzero
 
 
 def test_action_matrices_are_the_nonzero_dense_entries():
     # apply_to_lie on every column of every basis element, not only its own
-    # block, is the dense oracle; the pair pass must give the same entries,
-    # column by column and row by row within an element, for the elements
-    # of basis(n, p) in basis order with the empty ones left out
+    # block, is the dense oracle; the pair pass must give the same entries in
+    # block positions, column by column and row by row within an element,
+    # for every key of every block, with the empty ones left out
     for n, p in [(2, 5), (3, 3), (3, 4), (2, 8), (4, 3)]:
         words = lyndon_words(n, p)
-        dense = []
+        blocks = _blocks(n, p)
+        dense = {u: {} for u in blocks}
         for f in basis(n, p):
-            entries = tuple((words.index(v), c, x) for c, w in enumerate(words)
-                            for v, x in apply_to_lie(f, LieElement(n, p, {w: 1})).items())
+            [(u, row)] = f.data.items()
+            [key] = row
+            entries = []
+            for w in words:
+                for v, x in apply_to_lie(f, LieElement(n, p, {w: 1})).items():
+                    assert sorted_rep(w) == u and sorted_rep(v) == sorted_rep(key)
+                    entries.append((blocks[sorted_rep(key)][v], blocks[u][w], x))
             if entries:
-                dense.append(entries)
-        assert _action_matrices(n, p) == tuple(dense)
+                dense[u][key] = tuple(entries)
+        for u in blocks:
+            assert _block_action(n, p, u) == dense[u]
 
 
 def _fixed_point_closure(n, generators, max_degree):
@@ -616,14 +637,53 @@ def _double_chi(n):
     (3, _double_chi, 3)])
 def test_closure_matches_fixed_point_oracle(n, seeds, max_degree):
     # seeds whose closure never reaches Z^dim, so the one-sweep engine cannot
-    # stop early and must reach the same lattice as the round-by-round one;
-    # a single generator's rows are nonzero on few Lyndon columns, so the
-    # sweep passes over most entry lists for lack of support
+    # stop early and must reach the same lattice as the round-by-round one
     gens = seeds(n)
     report = schur_closure_rank(n, gens, max_degree)
     assert not any(e["saturated"] for e in report)
     got = [(e["reached_rank"], e["elementary_divisors"]) for e in report]
     assert got == _fixed_point_closure(n, gens, max_degree)
+
+
+def _mixed_mtilde(n):
+    return [g.scale(k) for g, k in zip(mtilde_generators(n), cycle((2, 4, 6)))]
+
+
+@pytest.mark.parametrize("n, seeds, max_degree", [
+    (2, _chi_multiples, 6), (3, _chi_multiples, 4), (3, _double_gamma, 4),
+    (3, _double_chi, 4), (2, _mixed_mtilde, 7), (3, _mixed_mtilde, 4)])
+def test_block_lattices_match_full_width_oracle(monkeypatch, n, seeds, max_degree):
+    # the single-lattice engine is the oracle: at every degree, the union of
+    # the block bases, embedded at full width, has its lattice's Hermite rows
+    recorded = []  # every block lattice, in the order the engine makes them
+
+    class Recording(IntegerLattice):
+        def __init__(self, dim):
+            super().__init__(dim)
+            recorded.append(self)
+
+    monkeypatch.setattr(derivations, "IntegerLattice", Recording)
+    gens = seeds(n)
+    schur_closure_rank(n, gens, max_degree)
+    oracle = full_width_lattices(n, [derivation_to_vector(D) for D in gens], max_degree)
+    block_lattices = iter(recorded)
+    for p, expected in zip(range(2, max_degree + 1), oracle):
+        union = IntegerLattice(expected.dim)
+        for block in _blocks(n, p).values():
+            for row in next(block_lattices).rows:
+                union.add(derivation_to_vector(
+                    derivation_from_vector(n, p, row, tuple(block))))
+        assert union.rows == expected.rows
+    assert next(block_lattices, None) is None
+
+
+def test_merged_divisors_take_the_smith_form_across_blocks():
+    # no closure input seen merges divisors across blocks, so only a direct
+    # test tells the Smith form of the direct sum from a concatenation
+    assert _merged_divisors([[2], [3]]) == [1, 6]
+    assert _merged_divisors([[2, 4], [6]]) == [2, 2, 12]
+    assert _merged_divisors([[1, 2], [], [1, 1, 3]]) == [1, 1, 1, 1, 6]
+    assert _merged_divisors([[], []]) == []
 
 
 def test_vector_roundtrip():

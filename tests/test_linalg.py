@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -280,7 +280,7 @@ def test_lattice_matches_echelon_oracle_on_random_input():
 
 @pytest.mark.parametrize("n, p", [(2, 8), (3, 4)])
 def test_lattice_matches_echelon_oracle_on_closure_adds(monkeypatch, n, p):
-    sequences = []  # (dim, the vectors added), one per degree
+    sequences = []  # (dim, the vectors added), one per block per degree
 
     class Recording(IntegerLattice):
         def __init__(self, dim):
@@ -294,17 +294,31 @@ def test_lattice_matches_echelon_oracle_on_closure_adds(monkeypatch, n, p):
 
     monkeypatch.setattr(derivations, "IntegerLattice", Recording)
     report = schur_closure_rank(n, mtilde_generators(n), p)
-    assert len(sequences) == len(report) == p - 1
-    for (dim, added), entry in zip(sequences, report):
-        lat, oracle = IntegerLattice(dim), EchelonLattice(dim)
-        for v in added:
-            assert lat.add(v) == oracle.add(v)
-            assert lat.full_unimodular() == oracle.full_unimodular()
-        _assert_hermite(lat)
-        _assert_same_lattice(lat, oracle)
-        assert lat.elementary_divisors() == entry["elementary_divisors"]
-        if lat.full_unimodular():  # Z^dim in Hermite form is the identity
-            assert lat.rows == [[int(i == j) for j in range(dim)] for i in range(dim)]
+    assert len(report) == p - 1
+    assert len(sequences) == sum(len(derivations._blocks(n, q)) for q in range(2, p + 1))
+    recorded = iter(sequences)
+    for entry in report:
+        oracles = []
+        for dim, added in islice(recorded, len(derivations._blocks(n, entry["degree"]))):
+            lat, oracle = IntegerLattice(dim), EchelonLattice(dim)
+            for v in added:
+                assert lat.add(v) == oracle.add(v)
+                assert lat.full_unimodular() == oracle.full_unimodular()
+            _assert_hermite(lat)
+            _assert_same_lattice(lat, oracle)
+            if lat.full_unimodular():  # Z^dim in Hermite form is the identity
+                assert lat.rows == [[int(i == j) for j in range(dim)] for i in range(dim)]
+            oracles.append(oracle)
+        # the block lattices' direct sum: one Smith form of its block-diagonal
+        # basis must give the report's divisors
+        width = sum(oracle.dim for oracle in oracles)
+        diagonal, offset = [], 0
+        for oracle in oracles:
+            diagonal += [[0] * offset + row + [0] * (width - offset - oracle.dim)
+                         for row in oracle.rows]
+            offset += oracle.dim
+        assert width == entry["full_rank"]
+        assert smith_normal_form(diagonal, len(diagonal), width) == entry["elementary_divisors"]
 
 
 def _minor_gcd_divisors(A):

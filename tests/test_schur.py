@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -14,8 +15,13 @@ from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             equivariant_basis_bruteforce, is_equivariant,
                             letter_substitution, orbit_keys,
                             orbit_data_of_column, schur_is_equivariant)
-from schurlie.words import (TensorElement, act, all_perms, perm_inverse,
-                            sorted_words, stabilizer_orbit_key, words_of)
+from schurlie.words import (TensorElement, act, perm_inverse, sorted_words,
+                            stabilizer_orbit_key, words_of)
+
+
+def all_perms(q):
+    """All of Sigma_q in one-line notation, lexicographic order."""
+    return permutations(range(1, q + 1))
 
 # frozen dimension table C(n^2+q-1, q)
 DIMS = {1: [1, 1, 1, 1, 1], 2: [1, 4, 10, 20, 35], 3: [1, 9, 45, 165, 495]}

@@ -2,6 +2,8 @@
 equal the same coefficients passed through the validating public constructor,
 and must store no zero coefficient."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +11,14 @@ from schurlie.errors import DimensionMismatch, InvalidArgument
 from schurlie.freegroup import MagnusSeries
 from schurlie.freelie import GroupRingElement, LieElement, lyndon_words
 from schurlie.schur import SchurElement, orbit_keys
-from schurlie.words import (TensorElement, act, all_perms, perm_compose, sorted_words,
+from schurlie.words import (TensorElement, act, perm_compose, sorted_words,
                             tensor_product, words_of)
+
+
+def all_perms(q):
+    """All of Sigma_q in one-line notation, lexicographic order."""
+    return permutations(range(1, q + 1))
+
 
 COEFFS = st.integers(min_value=-3, max_value=3)  # zero included on purpose
 

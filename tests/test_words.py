@@ -4,11 +4,16 @@ from itertools import permutations, product
 import pytest
 
 from schurlie.errors import DimensionMismatch, InvalidArgument
-from schurlie.words import (TensorElement, act, all_perms, format_perm,
-                            multidegree, orbit, perm_compose, perm_from_cycles,
+from schurlie.words import (TensorElement, act, format_perm, multidegree,
+                            orbit, perm_compose, perm_from_cycles,
                             perm_inverse, perm_sorting_onto, rearrangements,
                             sorted_rep, sorted_words, stabilizer_orbit_key,
                             tensor_product, words_of, young_subgroup_of)
+
+
+def all_perms(q):
+    """All of Sigma_q in one-line notation, lexicographic order."""
+    return permutations(range(1, q + 1))
 
 
 def test_act_swap():
