@@ -16,12 +16,14 @@ import time
 from . import __version__
 from .errors import InvalidArgument, ResourceGuardExceeded, SchurlieError
 from .derivations import Derivation, der_bracket, schur_act
-from .freelie import bracketing_function
+from .freegroup import MAGNUS_TRUNCATION_GUARD, classify_pair, magnus
+from .freelie import bracketing_function, zero_lie
 from .parsing import (check_rank, eval_lie, eval_tensor, format_tensor,
-                      max_generator, parse_expression, parse_shape)
+                      max_generator, parse_expression, parse_group_word,
+                      parse_shape)
 from .schur import SchurElement, basis
 from .suites import SUITES
-from .transfer import operad_compose, star
+from .transfer import operad_compose, star, transfer
 from .words import read_int
 
 
@@ -45,7 +47,6 @@ def _emit(payload, as_json):
 
 def _parse_images(text, n):
     """Semicolon-separated generator images; '0' entries are zero."""
-    from .freelie import zero_lie
     pieces = [p.strip() for p in text.split(";")]
     if len(pieces) != n:
         raise SchurlieError(f"{len(pieces)} images for rank {n}")
@@ -240,7 +241,6 @@ def _dispatch(args):
         return 0
 
     if args.command == "transfer":
-        from .transfer import transfer
         try:
             parts = tuple(read_int(a, "--parts entry") for a in args.parts.split(","))
         except InvalidArgument:
@@ -250,8 +250,6 @@ def _dispatch(args):
         return 0
 
     if args.command == "magnus":
-        from .freegroup import MAGNUS_TRUNCATION_GUARD, magnus
-        from .parsing import parse_group_word
         if not 1 <= args.degree <= MAGNUS_TRUNCATION_GUARD:
             raise SchurlieError(f"--degree must be in 1..{MAGNUS_TRUNCATION_GUARD}")
         series = magnus(parse_group_word(args.word), args.degree)
@@ -278,7 +276,6 @@ def _dispatch(args):
         return 0
 
     if args.command == "classify":
-        from .freegroup import classify_pair
         try:
             first_text, second_text = args.pair.split(":")
             first = tuple(read_int(a, "--pair entry") for a in first_text.split(","))
@@ -298,7 +295,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "verify":
-        from inspect import signature
+        from inspect import signature  # inspect imports slower than all of schurlie
         fn = SUITES[args.suite]
         accepted = signature(fn).parameters
         kwargs = {"seed": args.seed}

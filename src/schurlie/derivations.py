@@ -320,8 +320,7 @@ def find_annihilating_schur(n, i, j, u):
     if solution is None:
         raise NoSolutionFound(
             f"no integer equivariant map fixes the block of {block_u!r}")
-    row = {key: c for key, c in zip(keys, solution) if c}
-    h = SchurElement._trusted(n, q, {block_u: row} if row else {})
+    h = SchurElement._trusted(n, q, {(block_u, key): c for key, c in zip(keys, solution) if c})
     if not h.apply(annihilate).is_zero():
         raise InternalInvariantError("annihilation condition violated")
     if h.apply(fix) != -fix:

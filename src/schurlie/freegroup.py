@@ -18,6 +18,8 @@ Together these make the depth-m Johnson image a Lie morphism on the nose:
 the image of a group commutator is the derivation bracket of the images.
 """
 
+from itertools import permutations
+
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NotInFiltration, ResourceGuardExceeded)
 from .derivations import (Derivation, _check_pair_indices, _check_triple_indices,
@@ -209,51 +211,28 @@ def verify_mccool(n):
         instances.append({"family": family, "indices": indices, "holds": holds})
 
     idx = range(1, n + 1)
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if len({i, j, k}) != 3:
-                    continue
-                lhs = chi[i, j].fwd * chi[k, j].fwd * chi[i, k].fwd
-                rhs = chi[i, k].fwd * chi[i, j].fwd * chi[k, j].fwd
-                record(1, (i, j, k), lhs == rhs)
-    for k in idx:
-        for j in idx:
-            if k == j:
-                continue
-            for s in idx:
-                for t in idx:
-                    if s == t or {j, k} & {s, t}:
-                        continue
-                    comm = chi[k, j].commutator(chi[s, t])
-                    record(2, (k, j, s, t), comm.fwd.is_identity())
-    for k in idx:
-        for s in idx:
-            for j in idx:
-                if j in (k, s) or k == s:
-                    continue
-                comm = chi[k, j].commutator(chi[s, j])
-                record(3, (k, j, s), comm.fwd.is_identity())
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if len({i, j, k}) != 3:
-                    continue
-                lhs = chi[i, k].commutator(chi[i, j])
-                rhs = chi[i, k].commutator(chi[k, j].inverse())
-                record(4, (i, j, k), lhs.fwd == rhs.fwd)
+    for i, j, k in permutations(idx, 3):
+        lhs = chi[i, j].fwd * chi[k, j].fwd * chi[i, k].fwd
+        rhs = chi[i, k].fwd * chi[i, j].fwd * chi[k, j].fwd
+        record(1, (i, j, k), lhs == rhs)
+    for k, j, s, t in permutations(idx, 4):
+        comm = chi[k, j].commutator(chi[s, t])
+        record(2, (k, j, s, t), comm.fwd.is_identity())
+    for k, s, j in permutations(idx, 3):
+        comm = chi[k, j].commutator(chi[s, j])
+        record(3, (k, j, s), comm.fwd.is_identity())
+    for i, j, k in permutations(idx, 3):
+        lhs = chi[i, k].commutator(chi[i, j])
+        rhs = chi[i, k].commutator(chi[k, j].inverse())
+        record(4, (i, j, k), lhs.fwd == rhs.fwd)
 
     opposite_holds = True
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if len({i, j, k}) != 3:
-                    continue
-                # opposite convention: apply the left factor first
-                lhs = chi[i, k].fwd * chi[k, j].fwd * chi[i, j].fwd
-                rhs = chi[k, j].fwd * chi[i, j].fwd * chi[i, k].fwd
-                if lhs != rhs:
-                    opposite_holds = False
+    for i, j, k in permutations(idx, 3):
+        # opposite convention: apply the left factor first
+        lhs = chi[i, k].fwd * chi[k, j].fwd * chi[i, j].fwd
+        rhs = chi[k, j].fwd * chi[i, j].fwd * chi[i, k].fwd
+        if lhs != rhs:
+            opposite_holds = False
     return {
         "n": n,
         "instances": instances,

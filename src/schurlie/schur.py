@@ -2,9 +2,10 @@
 
 An equivariant endomorphism f is determined by its values on the weakly
 increasing words u, and f(u) must be constant on the orbits of the stabilizer
-of u.  We therefore store, per sorted word u, one integer coefficient per
-stabilizer-orbit key (see words.stabilizer_orbit_key); f extends to every
-word w = u.sigma by f(w) = f(u).sigma, independently of the chosen sigma.
+of u.  We therefore store one integer coefficient per pair (sorted word u,
+stabilizer-orbit key of u; see words.stabilizer_orbit_key), as a
+words.SparseCombination; f extends to every word w = u.sigma by
+f(w) = f(u).sigma, independently of the chosen sigma.
 
 Word-by-word column maps are built only for equivariance checks, over the
 support of an element; the brute-force dimension oracle alone scans all n^q
@@ -19,8 +20,8 @@ from itertools import product
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
 from .freelie import LieElement, decompose, embed
-from .words import (TensorElement, _equal_letter_runs, _linear_combination,
-                    act, check_word, perm_from_cycles,
+from .words import (SparseCombination, TensorElement, _equal_letter_runs,
+                    _linear_combination, act, check_word, perm_from_cycles,
                     perm_sorting_onto, read_int, rearrangements, sorted_rep,
                     sorted_words, stabilizer_orbit_key, words_of)
 
@@ -42,16 +43,19 @@ def orbit_keys(n, u):
     return tuple(sum(pieces, ()) for pieces in product(*runs))
 
 
-class SchurElement:
-    """An equivariant endomorphism of the degree-q tensor power, rank n."""
+class SchurElement(SparseCombination):
+    """An equivariant endomorphism of the degree-q tensor power, rank n: one
+    coefficient per pair (sorted word u, orbit key of u)."""
 
-    __slots__ = ("n", "q", "data", "_columns")
+    __slots__ = ("n", "q", "_columns")
 
-    def __init__(self, n, q, data):
+    def __init__(self, n, q, rows):
+        """rows maps sorted words u to {orbit key: coefficient}; each u is
+        checked once, even when its row is empty."""
         self.n = n
         self.q = q
-        clean = {}
-        for u, row in data.items():
+        pairs = {}
+        for u, row in rows.items():
             u = check_word(u)
             if len(u) != q:
                 raise InvalidArgument(f"key word {u!r} has length {len(u)}, expected {q}")
@@ -59,31 +63,34 @@ class SchurElement:
                 raise InvalidArgument(f"key word {u!r} is not weakly increasing")
             if u and not 1 <= max(u) <= n:
                 raise InvalidArgument(f"letter above rank {n} in {u!r}")
-            cleanrow = {}
             for key, c in row.items():
-                key = check_word(key)
-                if key and max(key) > n:
-                    raise InvalidArgument(f"letter above rank {n} in key {key!r}")
-                if stabilizer_orbit_key(u, key) != key:
-                    raise InvalidArgument(
-                        f"{key!r} is not the canonical orbit key for {u!r}")
-                if c:
-                    cleanrow[key] = c
-            if cleanrow:
-                clean[u] = cleanrow
-        self.data = clean
+                pairs[u, key] = c
+        self._coeffs = self._checked(pairs, self._check_key)
         self._columns = {}
 
+    def _check_key(self, pair):
+        """Check the key of a pair (u, key); the constructor checked u."""
+        u, key = pair
+        key = check_word(key)
+        if key and max(key) > self.n:
+            raise InvalidArgument(f"letter above rank {self.n} in key {key!r}")
+        if stabilizer_orbit_key(u, key) != key:
+            raise InvalidArgument(f"{key!r} is not the canonical orbit key for {u!r}")
+        return u, key
+
     @classmethod
-    def _trusted(cls, n, q, data):
-        """Wrap data as is: weakly increasing words of length q over 1..n,
-        each mapping canonical orbit keys to nonzero values, no empty row."""
+    def _trusted(cls, n, q, pairs):
+        """Wrap pairs as is: (u, key) -> nonzero value, u a weakly increasing
+        word of length q over 1..n and key a canonical orbit key of u."""
         self = cls.__new__(cls)
         self.n = n
         self.q = q
-        self.data = data
+        self._coeffs = pairs
         self._columns = {}
         return self
+
+    def _header(self):
+        return (self.n, self.q)
 
     @classmethod
     def zero(cls, n, q):
@@ -102,58 +109,7 @@ class SchurElement:
     def scalar_value(self):
         if self.q != 0:
             raise InvalidArgument("scalar_value is defined in degree 0 only")
-        return self.data.get((), {}).get((), 0)
-
-    def is_zero(self):
-        return not self.data
-
-    def coeff(self, u, key):
-        return self.data.get(tuple(u), {}).get(tuple(key), 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, SchurElement) and self.n == other.n
-                and self.q == other.q and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.n, self.q,
-                     frozenset((u, frozenset(row.items())) for u, row in self.data.items())))
-
-    # -- linear structure ---------------------------------------------------
-
-    def _check_compatible(self, other):
-        if self.n != other.n or self.q != other.q:
-            raise DimensionMismatch(
-                f"mixing ({self.n},{self.q}) with ({other.n},{other.q})")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        data = {u: dict(row) for u, row in self.data.items()}
-        for u, row in other.data.items():
-            target = data.setdefault(u, {})
-            for key, c in row.items():
-                total = target.get(key, 0) + c
-                if total:
-                    target[key] = total
-                else:
-                    del target[key]
-            if not target:
-                del data[u]
-        return SchurElement._trusted(self.n, self.q, data)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        if not k:
-            return SchurElement._trusted(self.n, self.q, {})
-        return SchurElement._trusted(self.n, self.q,
-                                     {u: {key: k * c for key, c in row.items()}
-                                      for u, row in self.data.items()})
-
-    __rmul__ = scale
+        return self._coeffs.get(((), ()), 0)
 
     # -- action on tensors ---------------------------------------------------
 
@@ -163,7 +119,8 @@ class SchurElement:
         col = self._columns.get(u)
         if col is None:
             col = _linear_combination(self.q, ((c, orbit_sum(u, key))
-                                               for key, c in self.data.get(u, {}).items()))
+                                               for (v, key), c in self._coeffs.items()
+                                               if v == u))
             self._columns[u] = col
         return col
 
@@ -188,29 +145,24 @@ class SchurElement:
 
     def column_map(self):
         """Column map over the basis words with a nonzero image (word ->
-        image tensor): the rearrangements of the sorted words in data."""
-        return {w: self.apply_word(w) for u in self.data for w in rearrangements(u)}
+        image tensor): the rearrangements of the sorted words of the pairs."""
+        return {w: self.apply_word(w) for u in {u for u, _ in self._coeffs}
+                for w in rearrangements(u)}
 
     def compose(self, other):
         """Endomorphism composition self after other, back in orbit form."""
-        self._check_compatible(other)
-        data = {}
-        for u in sorted_words(self.n, self.q):
-            col = self.apply(other.column(u))
-            row = orbit_data_of_column(u, col)
-            if row:
-                data[u] = row
-        return SchurElement._trusted(self.n, self.q, data)
+        n, q = self._same_header(other)
+        pairs = {}
+        for u in sorted_words(n, q):
+            for key, c in orbit_data_of_column(u, self.apply(other.column(u))).items():
+                pairs[u, key] = c
+        return SchurElement._trusted(n, q, pairs)
 
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self):
-        entries = []
-        for u in sorted(self.data):
-            for key in sorted(self.data[u]):
-                entries.append({"u": ".".join(map(str, u)),
-                                "key": ".".join(map(str, key)),
-                                "coeff": str(self.data[u][key])})
+        entries = [{"u": ".".join(map(str, u)), "key": ".".join(map(str, key)),
+                    "coeff": str(c)} for (u, key), c in self.items()]
         return {"n": self.n, "q": self.q, "entries": entries}
 
     @classmethod
@@ -237,7 +189,7 @@ class SchurElement:
         return cls(n, q, data)
 
     def __repr__(self):
-        return f"SchurElement(n={self.n}, q={self.q}, entries={sum(map(len, self.data.values()))})"
+        return f"SchurElement(n={self.n}, q={self.q}, entries={len(self)})"
 
 
 def _json_word(text):
@@ -289,7 +241,7 @@ def basis(n, q):
     out = []
     for u in sorted_words(n, q):
         for key in orbit_keys(n, u):
-            out.append(SchurElement._trusted(n, q, {u: {key: 1}}))
+            out.append(SchurElement._trusted(n, q, {(u, key): 1}))
     return tuple(out)
 
 

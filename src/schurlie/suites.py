@@ -14,7 +14,7 @@ from .derivations import (apply_derivation, commutator_derivation,
                           find_annihilating_schur, gamma_generators,
                           generator_derivation, mtilde_generators, schur_act,
                           schur_closure_rank)
-from .errors import NoSolutionFound, SchurlieError
+from .errors import InvalidArgument, NoSolutionFound, SchurlieError
 from .freegroup import (classify_pair, commutator_auto, conjugating_auto,
                         johnson_image, verify_mccool)
 from .freelie import (embed, lie_bracket, lyndon_basis, monomial_degree,
@@ -29,6 +29,11 @@ from .words import sorted_words, words_of
 
 
 def make_report(suite, parameters, instances):
+    """The report of a suite; InvalidArgument when it has no instance, as a
+    run that checks nothing proves nothing."""
+    if not instances:
+        shown = ", ".join(f"{name}={value}" for name, value in parameters.items())
+        raise InvalidArgument(f"suite {suite} has no instance to check at {shown}")
     instances = sorted(instances, key=lambda inst: inst["key"])
     passed = sum(1 for inst in instances if inst["pass"])
     return {
@@ -47,24 +52,29 @@ def _word_str(w):
     return ".".join(map(str, w))
 
 
+def _pairs_and_monomials(n, low, max_degree):
+    """(i, j, tree) over the index pairs i != j and the Lyndon basis
+    monomials of degree low..max_degree."""
+    return [(i, j, tree)
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+            for k in range(low, max_degree + 1)
+            for tree in lyndon_basis(n, k)]
+
+
 # ---------------------------------------------------------------------------
 
 def run_equivariance(n=3, max_degree=4, seed=0):
     """Every element built from orbit data commutes with all place
     permutations, checked exhaustively per degree."""
-    def check(task):
-        q, idx, f = task
-        label = next(iter(f.data)) if f.data else ()
-        return {
-            "key": f"q{q}:{idx:04d}:{_word_str(label)}",
-            "q": q,
-            "pass": schur_is_equivariant(f),
-        }
-
-    tasks = [(q, idx, f)
-             for q in range(0, max_degree + 1)
-             for idx, f in enumerate(basis(n, q))]
-    instances = [check(task) for task in tasks]
+    instances = []
+    for q in range(0, max_degree + 1):
+        for idx, f in enumerate(basis(n, q)):
+            [((u, _), _)] = f.items()
+            instances.append({
+                "key": f"q{q}:{idx:04d}:{_word_str(u)}",
+                "q": q,
+                "pass": schur_is_equivariant(f),
+            })
     return make_report("equivariance", {"n": n, "max_degree": max_degree, "seed": seed},
                        instances)
 
@@ -203,7 +213,7 @@ def run_star_laws(n=3, max_degree=5, seed=0, trials=100):
         for d in prod.degrees():
             expected = SchurElement.zero(n, d)
             for p in f0.degrees():
-                if d - p in g0.components:
+                if d - p in g0.degrees():
                     expected = expected + star(f0.component(p), g0.component(d - p))
             if prod.component(d) != expected:
                 ok = False
@@ -255,24 +265,18 @@ def run_prop422(n=3, max_degree=4, seed=0):
     """The commutation identity between a conjugating derivation and a
     one-generator derivation: [chi_ij, f_{j,u}] = -f_{i,[x_i,u]} + f_{j,chi_ij(u)},
     exhaustively over index pairs and basis monomials of degree <= max_degree."""
-    def check(task):
-        i, j, tree = task
+    instances = []
+    for i, j, tree in _pairs_and_monomials(n, 1, max_degree):
         u = normalize(n, tree)
         chi = conjugating_derivation(n, i, j)
         lhs = der_bracket(chi, generator_derivation(j, u))
         xi_u = lie_bracket(normalize(n, i), u)
         rhs = (-generator_derivation(i, xi_u)
                + generator_derivation(j, apply_derivation(chi, u)))
-        return {
+        instances.append({
             "key": f"i{i}j{j}:deg{monomial_degree(tree)}:{monomial_str(tree)}",
             "pass": lhs == rhs,
-        }
-
-    tasks = [(i, j, tree)
-             for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-             for k in range(1, max_degree + 1)
-             for tree in lyndon_basis(n, k)]
-    instances = [check(task) for task in tasks]
+        })
     return make_report("prop422", {"n": n, "max_degree": max_degree, "seed": seed},
                        instances)
 
@@ -282,25 +286,19 @@ def run_lemma425(n=3, max_degree=3, seed=0):
     degree 2..max_degree, its two defining equations verify exactly (the
     solver checks them before it returns), and acting with the solution
     isolates the expected generator derivation."""
-    def check(task):
-        i, j, tree = task
+    instances = []
+    for i, j, tree in _pairs_and_monomials(n, 2, max_degree):
         key = f"i{i}j{j}:deg{monomial_degree(tree)}:{monomial_str(tree)}"
         try:
             h = find_annihilating_schur(n, i, j, tree)
         except (NoSolutionFound, SchurlieError) as exc:
-            return {"key": key, "pass": False, "error": str(exc)}
+            instances.append({"key": key, "pass": False, "error": str(exc)})
+            continue
         u = normalize(n, tree)
         xi_u = lie_bracket(normalize(n, i), u)
         bracket = der_bracket(conjugating_derivation(n, i, j), generator_derivation(j, u))
         isolated = schur_act(h, bracket) == generator_derivation(i, xi_u)
-        return {"key": key, "pass": isolated,
-                "support": sum(len(row) for row in h.data.values())}
-
-    tasks = [(i, j, tree)
-             for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-             for k in range(2, max_degree + 1)
-             for tree in lyndon_basis(n, k)]
-    instances = [check(task) for task in tasks]
+        instances.append({"key": key, "pass": isolated, "support": len(h)})
     return make_report("lemma425", {"n": n, "max_degree": max_degree, "seed": seed},
                        instances)
 

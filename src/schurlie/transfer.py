@@ -22,8 +22,9 @@ from math import factorial, prod
 
 from .errors import DimensionMismatch, InvalidArgument
 from .schur import SchurElement, orbit_data_of_column
-from .words import (TensorElement, _place, act, check_perm, perm_compose,
-                    perm_sorting_onto, rearrangements, young_subgroup_of)
+from .words import (SparseCombination, TensorElement, _place, act, check_perm,
+                    perm_compose, perm_sorting_onto, rearrangements,
+                    young_subgroup_of)
 
 
 def check_composition(parts):
@@ -124,8 +125,9 @@ def transfer(parts, fs, transversal=None):
 
     # a column can be nonzero only at the sorted letters of one support word
     # per factor, whatever the transversal
-    support = {tuple(sorted(sum(us, ()))) for us in product(*(f.data for f in fs))}
-    data = {}
+    support = {tuple(sorted(sum(us, ())))
+               for us in product(*({u for u, _ in f._coeffs} for f in fs))}
+    pairs = {}
     for u in sorted(support):
         coeffs = {}
         for sigma in transversal:
@@ -142,10 +144,10 @@ def transfer(parts, fs, transversal=None):
             for w, c in terms:
                 w = _place(w, sigma)
                 coeffs[w] = coeffs.get(w, 0) + c
-        total = {w: c for w, c in coeffs.items() if c}
-        if total:
-            data[u] = orbit_data_of_column(u, TensorElement._trusted(d, total))
-    return SchurElement._trusted(n, d, data)
+        column = TensorElement._trusted(d, {w: c for w, c in coeffs.items() if c})
+        for key, c in orbit_data_of_column(u, column).items():
+            pairs[u, key] = c
+    return SchurElement._trusted(n, d, pairs)
 
 
 def star(f, g):
@@ -159,22 +161,32 @@ def star(f, g):
     return transfer((f.q, g.q), [f, g])
 
 
-class GradedSchurElement:
-    """A finitely supported sum of elements across degrees, rank n."""
+class GradedSchurElement(SparseCombination):
+    """A finitely supported sum of elements across degrees, rank n: the
+    (sorted word, orbit key) pairs of its components, at any length."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n",)
 
     def __init__(self, n, components=None):
         self.n = n
-        comps = {}
+        self._coeffs = {}
         for q, f in (components or {}).items():
             if f.n != n:
                 raise DimensionMismatch(f"rank-{f.n} component in a rank-{n} element")
             if f.q != q:
                 raise DimensionMismatch(f"degree-{f.q} component stored at degree {q}")
-            if not f.is_zero():
-                comps[q] = f
-        self.components = comps
+            self._coeffs.update(f._coeffs)
+
+    @classmethod
+    def _trusted(cls, n, pairs):
+        """Wrap pairs as is: the pairs of rank-n elements, no zero values."""
+        self = cls.__new__(cls)
+        self.n = n
+        self._coeffs = pairs
+        return self
+
+    def _header(self):
+        return (self.n,)
 
     @classmethod
     def of(cls, *fs):
@@ -190,25 +202,11 @@ class GradedSchurElement:
         return cls(n, {0: SchurElement.scalar(n, value)})
 
     def component(self, q):
-        return self.components.get(q, SchurElement.zero(self.n, q))
+        return SchurElement._trusted(
+            self.n, q, {pair: c for pair, c in self._coeffs.items() if len(pair[0]) == q})
 
     def degrees(self):
-        return sorted(self.components)
-
-    def is_zero(self):
-        return not self.components
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedSchurElement)
-                and self.n == other.n and self.components == other.components)
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise DimensionMismatch(f"adding ranks {self.n} and {other.n}")
-        comps = dict(self.components)
-        for q, f in other.components.items():
-            comps[q] = comps[q] + f if q in comps else f
-        return GradedSchurElement(self.n, comps)
+        return sorted({len(u) for u, _ in self._coeffs})
 
     def __repr__(self):
         return f"GradedSchurElement(n={self.n}, degrees={self.degrees()})"
@@ -224,9 +222,9 @@ def boxtimes(F, G):
     if F.n != G.n:
         raise DimensionMismatch(f"factors of ranks {F.n} and {G.n}")
     out = GradedSchurElement(F.n)
-    for p, fp in F.components.items():
-        for q, gq in G.components.items():
-            out = out + GradedSchurElement(F.n, {p + q: star(fp, gq)})
+    for p in F.degrees():
+        for q in G.degrees():
+            out = out + GradedSchurElement(F.n, {p + q: star(F.component(p), G.component(q))})
     return out
 
 

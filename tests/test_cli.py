@@ -307,6 +307,20 @@ def test_cli_verify_rejects_flag_suite_does_not_take(capsys, argv, flag):
     (["verify", "generation", "--max-degree", "0"], "--max-degree must be >= 1, got 0"),
     (["schur-basis", "--n", "2", "--q", "-1"], "--q must be >= 0, got -1"),
     (["schur-basis", "--n", "-1", "--q", "2"], "--n must be >= 1, got -1"),
+    # values that leave a suite with no instance to check
+    (["verify", "lemma425", "--n", "1"],
+     "suite lemma425 has no instance to check at n=1, max_degree=3, seed=0"),
+    (["verify", "lemma425", "--n", "3", "--max-degree", "1"],
+     "suite lemma425 has no instance to check at n=3, max_degree=1, seed=0"),
+    (["verify", "prop422", "--n", "1"],
+     "suite prop422 has no instance to check at n=1, max_degree=4, seed=0"),
+    (["verify", "johnson", "--n", "1"],
+     "suite johnson has no instance to check at n=1, seed=0"),
+    (["verify", "pairs", "--n", "1"],
+     "suite pairs has no instance to check at n=1, depth=3, seed=0"),
+    (["verify", "generation", "--n", "2", "--max-degree", "1"],
+     "suite generation has no instance to check at "
+     "n=2, max_degree=1, seed=0, generators=mtilde"),
 ])
 def test_cli_rejects_numeric_flag_out_of_range(capsys, argv, message):
     assert main(argv) == 2

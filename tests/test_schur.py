@@ -74,6 +74,10 @@ def test_from_orbit_data_validation():
         SchurElement(2, 1, {(1,): {(3,): 1}})
     with pytest.raises(InvalidArgument, match="above rank 2"):
         letter_substitution(2, 1, (3, 1))
+    # a bad sorted word is refused even with an empty row
+    for u in [(2, 1), (1, 3), (1,), (0, 1)]:
+        with pytest.raises(InvalidArgument):
+            SchurElement(2, 2, {u: {}})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

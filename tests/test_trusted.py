@@ -229,11 +229,18 @@ def test_schur_arithmetic_matches_validated(case):
     n, q, da, db, k = case
     f, g = SchurElement(n, q, da), SchurElement(n, q, db)
     composite = f.compose(g)
+    rows = {}
+    for (u, key), c in composite.items():
+        rows.setdefault(u, {})[key] = c
     for got, raw in [(f + g, _schur_combine((1, da), (1, db))),
                      (f - g, _schur_combine((1, da), (-1, db))),
                      (f.scale(k), _schur_combine((k, da))),
-                     (composite, composite.data)]:
-        assert got == SchurElement(n, q, raw)
-        assert all(row and _no_zero(row.items()) for row in got.data.values())
+                     (composite, rows)]:
+        want = SchurElement(n, q, raw)
+        assert got == want and hash(got) == hash(want)
+        assert _no_zero(got.items())
+    for other in (SchurElement(n + 1, q, {}), SchurElement(n, q + 1, {})):
+        with pytest.raises(DimensionMismatch):
+            f + other
     for w in words_of(n, q):
         assert composite.apply_word(w) == f.apply(g.apply_word(w))
