@@ -3,8 +3,10 @@ equivariant endomorphisms on them, and the span-closure rank engine.
 
 A degree-p derivation is determined by the n-tuple of images of the
 generators, each a degree-p element; the Leibniz rule extends it to all
-degrees.  The bracket of derivations of degrees p and p' has degree
-p + p' - 1 in this natural count (generator in, degree-p element out).
+degrees.  It is stored as one coefficient per pair (k, w): the coordinate of
+the image of x_k at the Lyndon word w.  The bracket of derivations of
+degrees p and p' has degree p + p' - 1 in this natural count (generator in,
+degree-p element out).
 
 Derivations are evaluated in the tensor algebra.  The free Lie algebra L(V)
 sits inside T(V) = U(L(V)), and a derivation of L(V) extends uniquely to a
@@ -50,6 +52,7 @@ turns those coefficients into Lyndon coordinates.
 """
 
 from functools import lru_cache
+from itertools import combinations, permutations
 from operator import add
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
@@ -60,18 +63,20 @@ from .freelie import (LieElement, _lyndon_triangle, decompose, embed,
                       monomial_str, normalize, zero_lie)
 from .linalg import IntegerLattice, smith_normal_form, solve_integer
 from .schur import SchurElement, apply_to_lie, basis_dimension_formula
-from .words import (TensorElement, _linear_combination, rearrangements,
+from .words import (SparseCombination, TensorElement, rearrangements,
                     sorted_rep, tensor_product)
 
 CLOSURE_BASIS_GUARD = 600  # largest endomorphism basis the engine will sweep
 
 
-class Derivation:
-    """A homogeneous derivation, stored as its generator images."""
+class Derivation(SparseCombination):
+    """A homogeneous derivation of rank n and degree p: one coefficient per
+    pair (k, w), the coordinate of the image of x_k at the Lyndon word w."""
 
-    __slots__ = ("n", "degree", "images")
+    __slots__ = ("n", "degree")
 
     def __init__(self, n, degree, images):
+        """From the n generator images, LieElements of rank n and this degree."""
         images = tuple(images)
         if len(images) != n:
             raise InvalidArgument(f"{len(images)} generator images for rank {n}")
@@ -84,42 +89,31 @@ class Derivation:
                     f"degree-{degree} derivation")
         self.n = n
         self.degree = degree
-        self.images = images
+        self._coeffs = {(k, w): c for k, img in enumerate(images, 1)
+                        for w, c in img._coeffs.items()}
+
+    @classmethod
+    def _trusted(cls, n, degree, pairs):
+        """Wrap pairs as is: (k, w) -> nonzero value, k in 1..n and w a
+        Lyndon word of length degree over 1..n."""
+        self = cls.__new__(cls)
+        self.n = n
+        self.degree = degree
+        self._coeffs = pairs
+        return self
+
+    def _header(self):
+        return (self.n, self.degree)
 
     def image(self, i):
-        return self.images[i - 1]
+        if not 1 <= i <= self.n:
+            raise InvalidArgument(f"generator index {i} outside 1..{self.n}")
+        return LieElement._trusted(
+            self.n, self.degree, {w: c for (k, w), c in self._coeffs.items() if k == i})
 
-    def is_zero(self):
-        return all(img.is_zero() for img in self.images)
-
-    def __eq__(self, other):
-        return (isinstance(other, Derivation) and self.n == other.n
-                and self.degree == other.degree and self.images == other.images)
-
-    def __hash__(self):
-        return hash((self.n, self.degree, self.images))
-
-    def _check_compatible(self, other):
-        if self.n != other.n:
-            raise DimensionMismatch(f"mixing ranks {self.n} and {other.n}")
-        if self.degree != other.degree:
-            raise DimensionMismatch(f"mixing degrees {self.degree} and {other.degree}")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return Derivation(self.n, self.degree,
-                          tuple(a + b for a, b in zip(self.images, other.images)))
-
-    def __neg__(self):
-        return Derivation(self.n, self.degree, tuple(-a for a in self.images))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        return Derivation(self.n, self.degree, tuple(a.scale(k) for a in self.images))
-
-    __rmul__ = scale
+    @property
+    def images(self):
+        return tuple(self.image(k) for k in range(1, self.n + 1))
 
     def __repr__(self):
         return ("Derivation(n=%d, degree=%d, [%s])"
@@ -131,9 +125,8 @@ def generator_derivation(i, w):
     n = w.n
     if not 1 <= i <= n:
         raise InvalidArgument(f"generator index {i} outside 1..{n}")
-    images = [zero_lie(n, w.degree)] * n
-    images[i - 1] = w
-    return Derivation(n, w.degree, images)
+    zero = zero_lie(n, w.degree)
+    return Derivation(n, w.degree, [w if k == i else zero for k in range(1, n + 1)])
 
 
 def _check_pair_indices(n, i, j):
@@ -167,12 +160,10 @@ def commutator_derivation(n, i, s, t):
 def mtilde_generators(n):
     """All quadratic generators: every conjugating derivation, plus every
     commutator derivation (the latter exist only for rank >= 3)."""
-    gens = [conjugating_derivation(n, i, j)
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    idx = range(1, n + 1)
+    gens = [conjugating_derivation(n, i, j) for i, j in permutations(idx, 2)]
     gens += [commutator_derivation(n, i, s, t)
-             for i in range(1, n + 1)
-             for s in range(1, n + 1) for t in range(s + 1, n + 1)
-             if i not in (s, t)]
+             for i in idx for s, t in combinations(idx, 2) if i not in (s, t)]
     return gens
 
 
@@ -205,8 +196,14 @@ def apply_derivation(D, a):
 
 
 def _embedded_images(D):
-    """D's generator images in the tensor algebra, as word -> coefficient."""
-    return tuple(embed(img)._coeffs for img in D.images)
+    """D's generator images in the tensor algebra, as word -> coefficient,
+    read off its pairs: one embedded Lyndon bracketing per pair."""
+    images = [{} for _ in range(D.n)]
+    for (k, w), c in D._coeffs.items():
+        image = images[k - 1]
+        for x, e in embed_monomial(lyndon_bracketing(w))._coeffs.items():
+            image[x] = image.get(x, 0) + c * e
+    return tuple({x: c for x, c in image.items() if c} for image in images)
 
 
 def _leibniz(coeffs, images, terms, sign):
@@ -235,19 +232,20 @@ def der_bracket(D, E):
     algebra and decomposed once."""
     if D.n != E.n:
         raise DimensionMismatch(f"bracket across ranks {D.n} and {E.n}")
-    degree = D.degree + E.degree - 1
-    return Derivation(D.n, degree, _bracket_images(
-        D.n, degree, _embedded_images(D), _embedded_images(E)))
+    return _bracket(D.n, D.degree + E.degree - 1,
+                    _embedded_images(D), _embedded_images(E))
 
 
-def _bracket_images(n, degree, d_images, e_images):
-    """The generator images of [D, E], in Lyndon coordinates, from the
-    embedded generator images of D and E."""
+def _bracket(n, degree, d_images, e_images):
+    """[D, E] from the embedded generator images of D and E."""
+    pairs = {}
     for k in range(n):
         coeffs = {}
         _leibniz(coeffs, d_images, e_images[k], 1)
         _leibniz(coeffs, e_images, d_images[k], -1)
-        yield decompose(n, _tensor(degree, coeffs))
+        for w, c in decompose(n, _tensor(degree, coeffs))._coeffs.items():
+            pairs[k + 1, w] = c
+    return Derivation._trusted(n, degree, pairs)
 
 
 def schur_act(f, D):
@@ -343,29 +341,25 @@ def _blocks(n, p):
     return dict(sorted(blocks.items()))
 
 
-def _block_rows(n, p, images):
-    """Sorted letters -> block row of a degree-p derivation, given by its
-    generator images; blocks where it vanishes are left out."""
+def _block_rows(n, p, D):
+    """Sorted letters -> block row of a degree-p derivation D, read off its
+    pairs; blocks where it vanishes are left out."""
     blocks = _blocks(n, p)
     rows = {}
-    for k, image in enumerate(images):
-        for w, c in image._coeffs.items():
-            u = sorted_rep(w)
-            block = blocks[u]
-            row = rows.setdefault(u, [0] * (n * len(block)))
-            row[k * len(block) + block[w]] = c
+    for (k, w), c in D._coeffs.items():
+        u = sorted_rep(w)
+        block = blocks[u]
+        row = rows.setdefault(u, [0] * (n * len(block)))
+        row[(k - 1) * len(block) + block[w]] = c
     return rows
 
 
-def _row_images(p, words, row):
-    """A block row's generator images in the tensor algebra, as word ->
-    coefficient dicts; slot k of the row holds the Lyndon coordinates of the
-    image of x_{k+1} at words, in their order."""
+def _row_derivation(n, p, words, row):
+    """The derivation of a block row: slot k of the row holds the Lyndon
+    coordinates of the image of x_{k+1} at words, in their order."""
     W = len(words)
-    return tuple(
-        _linear_combination(p, ((c, embed_monomial(lyndon_bracketing(w)))
-                                for w, c in zip(words, row[base:base + W]) if c))._coeffs
-        for base in range(0, len(row), W))
+    return Derivation._trusted(n, p, {(k + 1, w): c for k in range(n)
+                                      for w, c in zip(words, row[k * W:]) if c})
 
 
 @lru_cache(maxsize=None)
@@ -459,7 +453,7 @@ def schur_closure_rank(n, generators, max_degree):
         if D.degree != 2:
             raise InvalidArgument("closure generators must have degree 2")
     report = []
-    reached = {}  # degree -> the row images of its block lattices' rows
+    reached = {}  # degree -> the embedded images of its block lattices' rows
     for p in range(2, max_degree + 1):
         if basis_dimension_formula(n, p) > CLOSURE_BASIS_GUARD:
             raise ResourceGuardExceeded(
@@ -467,14 +461,14 @@ def schur_closure_rank(n, generators, max_degree):
                 partial=report)
         blocks = _blocks(n, p)
         lattices = {u: IntegerLattice(n * len(block)) for u, block in blocks.items()}
-        seeds = [D.images for D in generators] if p == 2 else []
+        seeds = list(generators) if p == 2 else []
         for p1 in range(2, (p + 3) // 2):
             p2 = p + 1 - p1  # p2 >= p1, and both are below p
             for a_idx, a in enumerate(reached[p1]):
                 start = a_idx + 1 if p1 == p2 else 0
-                seeds.extend(_bracket_images(n, p, a, b) for b in reached[p2][start:])
-        for images in seeds:
-            for u, row in _block_rows(n, p, images).items():
+                seeds.extend(_bracket(n, p, a, b) for b in reached[p2][start:])
+        for D in seeds:
+            for u, row in _block_rows(n, p, D).items():
                 lattices[u].add(row)
         for u, lattice in lattices.items():
             rows = lattice.basis_rows()
@@ -502,6 +496,6 @@ def schur_closure_rank(n, generators, max_degree):
         }
         report.append(entry)
         if p < max_degree:  # nothing brackets the top degree
-            reached[p] = [_row_images(p, blocks[u], row)
+            reached[p] = [_embedded_images(_row_derivation(n, p, blocks[u], row))
                           for u, lattice in lattices.items() for row in lattice.rows]
     return report

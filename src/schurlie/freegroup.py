@@ -203,14 +203,13 @@ def verify_mccool(n):
     if n > MCCOOL_RANK_GUARD:
         raise ResourceGuardExceeded(
             f"relation check guarded at rank {MCCOOL_RANK_GUARD}")
-    chi = {(i, j): conjugating_auto(n, i, j)
-           for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    idx = range(1, n + 1)
+    chi = {(i, j): conjugating_auto(n, i, j) for i, j in permutations(idx, 2)}
     instances = []
 
     def record(family, indices, holds):
         instances.append({"family": family, "indices": indices, "holds": holds})
 
-    idx = range(1, n + 1)
     for i, j, k in permutations(idx, 3):
         lhs = chi[i, j].fwd * chi[k, j].fwd * chi[i, k].fwd
         rhs = chi[i, k].fwd * chi[i, j].fwd * chi[k, j].fwd

@@ -14,6 +14,7 @@ the decomposition raises.
 """
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
@@ -43,7 +44,6 @@ def lyndon_words(n, p):
     """
     if n < 1 or p < 1:
         raise InvalidArgument(f"need rank >= 1 and degree >= 1, got n={n}, p={p}")
-    from itertools import product
     return tuple(w for w in product(range(1, n + 1), repeat=p) if is_lyndon(w))
 
 

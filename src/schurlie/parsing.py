@@ -17,6 +17,7 @@ import re
 
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidArgument,
                      ParseError, ResourceGuardExceeded)
+from .freegroup import reduce_word
 from .freelie import LEAF, decompose
 from .words import TensorElement, format_terms, read_int, tensor_product
 
@@ -246,7 +247,6 @@ def parse_group_word(text):
     letters = []
     for letter, count in factors:
         letters.extend([letter] * count)
-    from .freegroup import reduce_word
     return reduce_word(letters)
 
 

@@ -14,7 +14,7 @@ where ``perm_compose(t, s)`` is ordinary function composition, s applied
 first.  All values here are immutable tuples or carry only private state.
 
 Tensors, Lie elements, group-ring elements, Magnus series, equivariant
-endomorphisms and their graded sums share one arithmetic core,
+endomorphisms, their graded sums and derivations share one arithmetic core,
 ``SparseCombination``.  A subclass returns its header slots
 from ``_header()`` and wraps checked keys with ``_trusted(*header, coeffs)``.
 Validation happens once, at the input boundary: the public constructors check

@@ -11,7 +11,8 @@ list's columns.
 from functools import lru_cache
 from itertools import compress
 
-from schurlie.derivations import _bracket_images, _pair_images, _row_images
+from schurlie.derivations import (_bracket, _embedded_images, _pair_images,
+                                  _row_derivation)
 from schurlie.freelie import (_lyndon_triangle, embed_monomial,
                               lyndon_bracketing, lyndon_words)
 from schurlie.linalg import IntegerLattice
@@ -24,9 +25,8 @@ def _bracket_row(n, degree, index, a, b):
     row images; index maps the degree's Lyndon words to their positions."""
     W = len(index)
     row = [0] * (n * W)
-    for base, image in zip(range(0, n * W, W), _bracket_images(n, degree, a, b)):
-        for w, c in image.items():
-            row[base + index[w]] = c
+    for (k, w), c in _bracket(n, degree, a, b).items():
+        row[(k - 1) * W + index[w]] = c
     return row
 
 
@@ -123,5 +123,6 @@ def full_width_lattices(n, generator_vectors, max_degree):
         if seeds and not lattice.full_unimodular():
             _sweep(lattice, _action_matrices(n, p), W, seeds)
         lattices.append(lattice)
-        reached[p] = [_row_images(p, words, row) for row in lattice.rows]
+        reached[p] = [_embedded_images(_row_derivation(n, p, words, row))
+                      for row in lattice.rows]
     return lattices

@@ -321,6 +321,16 @@ def test_cli_verify_rejects_flag_suite_does_not_take(capsys, argv, flag):
     (["verify", "generation", "--n", "2", "--max-degree", "1"],
      "suite generation has no instance to check at "
      "n=2, max_degree=1, seed=0, generators=mtilde"),
+    (["verify", "mccool", "--n", "1"],
+     "suite mccool has no instance to check at n=1, seed=0"),
+    (["verify", "mccool", "--n", "2"],
+     "suite mccool has no instance to check at n=2, seed=0"),
+    # guards that grow with the degree refuse at the top degree, before the
+    # lower degrees are computed
+    (["verify", "equivariance", "--n", "3", "--max-degree", "9"],
+     "equivariance check limited to degree 8"),
+    (["verify", "dimension", "--n", "3", "--max-degree", "9"],
+     "brute-force oracle refused for n=3, q=9"),
 ])
 def test_cli_rejects_numeric_flag_out_of_range(capsys, argv, message):
     assert main(argv) == 2

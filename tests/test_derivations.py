@@ -552,10 +552,11 @@ def test_row_bracket_matches_der_bracket(n, p1, p2):
         blocks = _blocks(n, p)
         lattices = {u: IntegerLattice(n * len(block)) for u, block in blocks.items()}
         for _ in range(3):
-            for u, row in _block_rows(n, p, _random_derivation(rng, n, p).images).items():
+            for u, row in _block_rows(n, p, _random_derivation(rng, n, p)).items():
                 lattices[u].add(row)
         return [(derivation_from_vector(n, p, row, tuple(blocks[u])),
-                 derivations._row_images(p, tuple(blocks[u]), row))
+                 derivations._embedded_images(
+                     derivations._row_derivation(n, p, tuple(blocks[u]), row)))
                 for u, lattice in lattices.items() for row in lattice.rows]
 
     p = p1 + p2 - 1
@@ -563,8 +564,8 @@ def test_row_bracket_matches_der_bracket(n, p1, p2):
     nonzero = 0
     for D, a in hermite_rows(p1):
         for E, b in rows2:
-            expected = _block_rows(n, p, der_bracket(D, E).images)
-            got = _block_rows(n, p, derivations._bracket_images(n, p, a, b))
+            expected = _block_rows(n, p, der_bracket(D, E))
+            got = _block_rows(n, p, derivations._bracket(n, p, a, b))
             assert got == expected
             nonzero += bool(expected)
     assert nonzero
@@ -703,3 +704,21 @@ def derivations_pairs(draw):
 def test_der_bracket_antisymmetry_hypothesis(pair):
     D, E = pair
     assert der_bracket(D, E) == -der_bracket(E, D)
+    # the arithmetic of the pairs is the arithmetic of the images
+    n = D.n
+    for k in range(1, n + 1):
+        assert (D + E).image(k) == D.image(k) + E.image(k)
+        assert (D - E).image(k) == D.image(k) - E.image(k)
+        assert (-D).image(k) == -D.image(k)
+        assert D.scale(3).image(k) == D.image(k).scale(3)
+        assert (2 * D).image(k) == D.image(k).scale(2)
+    assert (D - D).is_zero()
+    rebuilt = Derivation(n, 2, D.images)
+    assert rebuilt == D and hash(rebuilt) == hash(D)
+    with pytest.raises(DimensionMismatch):
+        D + _random_derivation(random.Random(n), 5 - n, 2)
+    with pytest.raises(DimensionMismatch):
+        D + _random_derivation(random.Random(n), n, 3)
+    for i in (0, n + 1):
+        with pytest.raises(InvalidArgument):
+            D.image(i)
