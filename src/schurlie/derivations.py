@@ -62,7 +62,7 @@ from .freelie import (LieElement, _lyndon_triangle, decompose, embed,
                       lyndon_words, monomial_degree, monomial_letters,
                       monomial_str, normalize, zero_lie)
 from .linalg import IntegerLattice, smith_normal_form, solve_integer
-from .schur import SchurElement, apply_to_lie, basis_dimension_formula
+from .schur import SchurElement, basis_dimension_formula
 from .words import (SparseCombination, TensorElement, rearrangements,
                     sorted_rep, tensor_product)
 
@@ -249,12 +249,19 @@ def _bracket(n, degree, d_images, e_images):
 
 
 def schur_act(f, D):
-    """The degree-matched module action: post-compose every generator image."""
+    """The degree-matched module action: post-compose every generator image,
+    each embedded from D's pairs, acted on and decomposed once."""
     if f.q != D.degree:
         raise DimensionMismatch(f"degree-{f.q} endomorphism on a degree-{D.degree} derivation")
     if f.n != D.n:
         raise DimensionMismatch(f"rank-{f.n} endomorphism on a rank-{D.n} derivation")
-    return Derivation(D.n, D.degree, tuple(apply_to_lie(f, img) for img in D.images))
+    pairs = {}
+    for k, image in enumerate(_embedded_images(D), 1):
+        if image:
+            acted = decompose(D.n, f.apply(TensorElement._trusted(D.degree, image)))
+            for w, c in acted._coeffs.items():
+                pairs[k, w] = c
+    return Derivation._trusted(D.n, D.degree, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,23 +7,26 @@ stabilizer-orbit key of u; see words.stabilizer_orbit_key), as a
 words.SparseCombination; f extends to every word w = u.sigma by
 f(w) = f(u).sigma, independently of the chosen sigma.
 
+An element indexes its pairs by sorted word once, on the first column it
+builds, and caches every column it builds, so f(u) costs one pass over the
+keys of u.
+
 Word-by-word column maps are built only for equivariance checks, over the
 support of an element; the brute-force dimension oracle alone scans all n^q
 words.
 """
 
 import math
-from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
 from .freelie import LieElement, decompose, embed
 from .words import (SparseCombination, TensorElement, _equal_letter_runs,
                     _linear_combination, act, check_word, perm_from_cycles,
-                    perm_sorting_onto, read_int, rearrangements, sorted_rep,
-                    sorted_words, stabilizer_orbit_key, words_of)
+                    read_int, rearrangements, sorted_rep, sorted_words,
+                    stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest degree the equivariance checks accept
 SCHUR_BASIS_GUARD = 100_000  # largest basis built, about 2 s of output
@@ -47,7 +50,7 @@ class SchurElement(SparseCombination):
     """An equivariant endomorphism of the degree-q tensor power, rank n: one
     coefficient per pair (sorted word u, orbit key of u)."""
 
-    __slots__ = ("n", "q", "_columns")
+    __slots__ = ("n", "q", "_columns", "_rows")
 
     def __init__(self, n, q, rows):
         """rows maps sorted words u to {orbit key: coefficient}; each u is
@@ -67,6 +70,7 @@ class SchurElement(SparseCombination):
                 pairs[u, key] = c
         self._coeffs = self._checked(pairs, self._check_key)
         self._columns = {}
+        self._rows = None
 
     def _check_key(self, pair):
         """Check the key of a pair (u, key); the constructor checked u."""
@@ -87,6 +91,7 @@ class SchurElement(SparseCombination):
         self.q = q
         self._coeffs = pairs
         self._columns = {}
+        self._rows = None
         return self
 
     def _header(self):
@@ -118,22 +123,28 @@ class SchurElement(SparseCombination):
         u = tuple(u)
         col = self._columns.get(u)
         if col is None:
+            rows = self._rows
+            if rows is None:
+                rows = self._rows = {}
+                for (v, key), c in self._coeffs.items():
+                    rows.setdefault(v, []).append((key, c))
             col = _linear_combination(self.q, ((c, orbit_sum(u, key))
-                                               for (v, key), c in self._coeffs.items()
-                                               if v == u))
+                                               for key, c in rows.get(u, ())))
             self._columns[u] = col
         return col
 
     def apply_word(self, w):
-        """f on a single basis word, via f(u.sigma) = f(u).sigma."""
+        """f on a single basis word, via f(u.sigma) = f(u).sigma, where u is
+        sorted(w) and sigma the stable argsort of w."""
         w = tuple(w)
         if len(w) != self.q:
             raise DimensionMismatch(f"word of length {len(w)} under a degree-{self.q} map")
-        u = sorted_rep(w)
+        order = sorted(range(len(w)), key=w.__getitem__)
+        u = tuple([w[t] for t in order])
         col = self.column(u)
-        if col.is_zero():
+        if u == w or col.is_zero():
             return col
-        return col.act(perm_sorting_onto(u, w))
+        return col.act(tuple([t + 1 for t in order]))
 
     def apply(self, t):
         """Linear action on a tensor of matching degree."""
@@ -210,24 +221,37 @@ def _json_int(value, what):
 
 
 def orbit_data_of_column(u, col):
-    """Read orbit coefficients off a tensor that must be stabilizer-invariant."""
+    """Read orbit coefficients off a tensor that must be stabilizer-invariant.
+
+    The key of a word w is stabilizer_orbit_key(u, w): w with its letters
+    sorted inside each run of equal letters of u, the runs found once."""
+    runs = [slice(i, j) for i, j in _equal_letter_runs(u) if j - i > 1]
     row = {}
     count = {}
-    for w, c in col.items():
-        key = stabilizer_orbit_key(u, w)
+    for w, c in col._coeffs.items():
+        key = w
+        if runs:
+            key = list(w)
+            for run in runs:
+                key[run] = sorted(key[run])
+            key = tuple(key)
         if row.setdefault(key, c) != c:
             raise InternalInvariantError(
                 f"column at {u!r} is not constant on stabilizer orbits")
         count[key] = count.get(key, 0) + 1
-    # the stabilizer orbit of key has |Stab(u)| / |Stab(u) n Stab(key)|
-    # members, and that intersection permutes the positions of each letter
-    # pair in zip(u, key)
-    stab_u = math.prod(map(math.factorial, Counter(u).values()))
+    # the stabilizer orbit of key holds every rearrangement of key inside
+    # each run of u
     for key, k in count.items():
-        if stab_u // math.prod(map(math.factorial, Counter(zip(u, key)).values())) != k:
+        if math.prod(_arrangement_count(key[run]) for run in runs) != k:
             raise InternalInvariantError(
                 f"column at {u!r} misses part of the orbit of {key!r}")
     return row
+
+
+def _arrangement_count(w):
+    """The number of distinct rearrangements of the sorted word w."""
+    return math.factorial(len(w)) // math.prod(
+        math.factorial(len(list(letters))) for _, letters in groupby(w))
 
 
 @lru_cache(maxsize=None)

@@ -11,20 +11,26 @@ well-definedness tests.  A transversal given by the caller is checked to be
 one.
 
 transfer evaluates the sum only on the sorted words u that hold the letters
-of one support word per factor, in one loop over the transversal: the blocks
-of u . sigma^{-1} are read straight off u, each factor's image of a block
-word is computed once per call, and the concatenated terms are placed by
-sigma into one coefficient dict.
+of one support word per factor, in one loop over the transversal.  The
+canonical transversal is built once per composition and cached.  Each sigma
+gets two itemgetters per call: one reads u . sigma^{-1} straight off u, the
+other places a concatenated image word by sigma.  Each factor's image of a
+block word is computed once per call, and the concatenated product of the
+blocks of one word u . sigma^{-1} once per u: every sigma that reads the
+same blocks off u reuses it, and only its placement is redone.  The placed
+terms go into one coefficient dict per u.
 """
 
+from functools import lru_cache
 from itertools import product
 from math import factorial, prod
+from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidArgument
 from .schur import SchurElement, orbit_data_of_column
-from .words import (SparseCombination, TensorElement, _place, act, check_perm,
-                    perm_compose, perm_sorting_onto, rearrangements,
-                    young_subgroup_of)
+from .words import (SparseCombination, TensorElement, act, check_perm,
+                    perm_compose, perm_inverse, perm_sorting_onto,
+                    rearrangements, young_subgroup_of)
 
 
 def check_composition(parts):
@@ -58,8 +64,14 @@ def coset_transversal(parts):
     representative of a label sorts the marker onto it keeping equal letters
     in order, so it maps each block onto its image set increasingly.
     """
-    marker = _marker(check_composition(parts))
-    return [perm_sorting_onto(marker, label) for label in rearrangements(marker)]
+    return list(_canonical_transversal(check_composition(parts)))
+
+
+@lru_cache(maxsize=None)
+def _canonical_transversal(parts):
+    """coset_transversal of checked parts, as a tuple."""
+    marker = _marker(parts)
+    return tuple(perm_sorting_onto(marker, label) for label in rearrangements(marker))
 
 
 def coset_id(sigma, parts):
@@ -107,7 +119,7 @@ def transfer(parts, fs, transversal=None):
     n = ranks.pop()
     d = sum(parts)
     if transversal is None:
-        transversal = coset_transversal(parts)
+        transversal = _canonical_transversal(parts)
     else:
         transversal = [tuple(sigma) for sigma in transversal]
         for sigma in transversal:
@@ -120,6 +132,9 @@ def transfer(parts, fs, transversal=None):
     for a in parts:
         splits.append((start, start + a))
         start += a
+    # per sigma, the getters of u . sigma^{-1} and of w . sigma
+    moves = [(_getter([s - 1 for s in sigma]), _getter([t - 1 for t in perm_inverse(sigma)]))
+             for sigma in transversal]
     # per factor, its image of each block word met so far, as (word, coeff) pairs
     images = [{} for _ in fs]
 
@@ -130,24 +145,37 @@ def transfer(parts, fs, transversal=None):
     pairs = {}
     for u in sorted(support):
         coeffs = {}
-        for sigma in transversal:
-            v = tuple([u[s - 1] for s in sigma])  # u . sigma^{-1}
-            terms = [((), 1)]
-            for (lo, hi), f, image_of in zip(splits, fs, images):
-                block = v[lo:hi]
-                image = image_of.get(block)
-                if image is None:
-                    image = image_of[block] = list(f.apply_word(block)._coeffs.items())
-                terms = [(w1 + w2, c1 * c2) for w1, c1 in terms for w2, c2 in image]
-                if not terms:
-                    break
+        products = {}  # u . sigma^{-1} -> the product of its blocks' images
+        for read, place in moves:
+            v = read(u)
+            terms = products.get(v)
+            if terms is None:
+                terms = [((), 1)]
+                for (lo, hi), f, image_of in zip(splits, fs, images):
+                    block = v[lo:hi]
+                    image = image_of.get(block)
+                    if image is None:
+                        image = image_of[block] = list(f.apply_word(block)._coeffs.items())
+                    terms = [(w1 + w2, c1 * c2) for w1, c1 in terms for w2, c2 in image]
+                    if not terms:
+                        break
+                products[v] = terms
             for w, c in terms:
-                w = _place(w, sigma)
+                w = place(w)
                 coeffs[w] = coeffs.get(w, 0) + c
         column = TensorElement._trusted(d, {w: c for w, c in coeffs.items() if c})
         for key, c in orbit_data_of_column(u, column).items():
             pairs[u, key] = c
     return SchurElement._trusted(n, d, pairs)
+
+
+def _getter(indices):
+    """The map w -> tuple(w[i] for i in indices), as an itemgetter; a
+    one-index itemgetter returns a letter, so that case wraps it."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda w: (w[i],)
+    return itemgetter(*indices)
 
 
 def star(f, g):

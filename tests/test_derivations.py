@@ -342,6 +342,21 @@ def test_schur_act_module_axioms():
         assert schur_act(f.compose(g), D) == schur_act(f, schur_act(g, D))
 
 
+def test_schur_act_acts_image_by_image():
+    # the pair-wise action equals apply_to_lie on each generator image, and
+    # its trusted result stores no zero coefficient
+    rng = random.Random(26)
+    for n, q in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+        for _ in range(3):
+            f = SchurElement(n, q, {u: {rng.choice(orbit_keys(n, u)): rng.randint(-2, 2)}
+                                    for u in rng.sample(list(sorted_words(n, q)), 3)})
+            D = _random_derivation(rng, n, q)
+            acted = schur_act(f, D)
+            assert acted == Derivation(n, q, [apply_to_lie(f, img) for img in D.images])
+            assert all(acted._coeffs.values())
+        assert schur_act(SchurElement.zero(n, q), D).is_zero()
+
+
 def test_schur_act_relabeling_instance():
     # relabeling 1<->2 turns the [x1,v]-image derivation into the
     # [x2,u]-image one, with u the relabeled v

@@ -14,7 +14,8 @@ from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             basis_dimension_formula, decompose_in_basis,
                             equivariant_basis_bruteforce, is_equivariant,
                             letter_substitution, orbit_keys,
-                            orbit_data_of_column, schur_is_equivariant)
+                            orbit_data_of_column, orbit_sum,
+                            schur_is_equivariant)
 from schurlie.words import (TensorElement, act, perm_inverse, sorted_words,
                             stabilizer_orbit_key, words_of)
 
@@ -372,6 +373,63 @@ def test_orbit_data_rejects_non_invariant_column():
         orbit_data_of_column((1, 1), TensorElement(2, {(1, 2): 1, (2, 1): 2}))
     with pytest.raises(InternalInvariantError, match="misses part"):
         orbit_data_of_column((1, 1), TensorElement(2, {(1, 2): 1}))
+    # several runs: the keys sort w inside each run of u separately, so a
+    # swap inside a run stays in one orbit and a swap across runs does not
+    for u, w, size in [((1, 1, 2, 2), (3, 1, 2, 1), 4), ((1, 2, 2, 3), (1, 3, 1, 2), 2)]:
+        orbit = [x for x in words_of(3, 4) if stabilizer_orbit_key(u, x)
+                 == stabilizer_orbit_key(u, w)]
+        assert len(orbit) == size
+        full = TensorElement(4, dict.fromkeys(orbit, 5))
+        assert orbit_data_of_column(u, full) == {stabilizer_orbit_key(u, w): 5}
+        with pytest.raises(InternalInvariantError, match="not constant"):
+            orbit_data_of_column(u, full + TensorElement.from_word(orbit[-1]))
+        with pytest.raises(InternalInvariantError, match="misses part"):
+            orbit_data_of_column(u, TensorElement(4, dict.fromkeys(orbit[1:], 5)))
+        # swapping the first and last letters, which lie in different runs,
+        # gives a word of another orbit, which must be whole too
+        across = w[-1:] + w[1:-1] + w[:1]
+        assert stabilizer_orbit_key(u, across) != stabilizer_orbit_key(u, w)
+        with pytest.raises(InternalInvariantError, match="misses part"):
+            orbit_data_of_column(u, full + TensorElement.from_word(across, 5))
+
+
+def test_column_matches_orbit_sums_for_every_sorted_word():
+    # the row index of an element, built on its first column, must give
+    # f(u) = sum of c * orbit_sum(u, key) over the pairs (u, key) of f,
+    # also at words outside the support and for the results of arithmetic
+    rng = random.Random(15)
+
+    def expected(f, u):
+        out = TensorElement(f.q)
+        for (v, key), c in f.items():
+            if v == u:
+                out = out + orbit_sum(u, key).scale(c)
+        return out
+
+    for n, q in [(2, 1), (2, 3), (3, 2), (3, 3)]:
+        for _ in range(4):
+            f = _rand_element(n, q, rng, entries=rng.randint(1, 4))
+            g = _rand_element(n, q, rng, entries=rng.randint(1, 4))
+            # the row indexes of f and g are built before the results are
+            # formed, so a result that shared or copied one would show
+            for h in (f, g):
+                for u in sorted_words(n, q):
+                    assert h.column(u) == expected(h, u), (n, q, u)
+            for h in (f + g, f - g, f.scale(-2), f.scale(0), -g,
+                      f.compose(g), g.compose(f)):
+                for u in sorted_words(n, q):
+                    assert h.column(u) == expected(h, u), (n, q, u)
+
+
+def test_apply_word_on_sorted_and_unsorted_words():
+    rng = random.Random(16)
+    f = _rand_element(2, 3, rng, entries=4)
+    for w in words_of(2, 3):
+        u = tuple(sorted(w))
+        sigma = tuple(t + 1 for t in sorted(range(3), key=w.__getitem__))
+        assert f.apply_word(w) == f.column(u).act(sigma)
+        if w == u:
+            assert f.apply_word(w) is f.column(u)
 
 
 def test_linear_structure():

@@ -310,6 +310,37 @@ def test_transfer_support_loop_matches_full_scan():
         assert got.is_zero() and got == _transfer_full_scan(parts, fs, coset_transversal(parts))
 
 
+def test_transfer_getters_and_product_memo_match_oracles():
+    # one case per way the per-sigma getters or the per-u product memo could
+    # go wrong: degree 1, where a one-index itemgetter returns a letter;
+    # degree 5 with two and with four parts; and factors whose supports share
+    # sorted words, so that many sigma read the same blocks off one u
+    rng = random.Random(28)
+    shared = {1: {(1,): {(1,): 2, (2,): -1}},
+              2: {(1, 1): {(1, 2): 1, (1, 1): 3}, (1, 2): {(2, 1): -2}},
+              3: {(1, 1, 1): {(1, 1, 2): 1}, (1, 1, 2): {(1, 1, 2): -1, (2, 2, 1): 2}}}
+    cases = [(2, (1,), None), (3, (1,), None), (2, (2, 3), None),
+             (2, (1, 1, 1, 2), None), (2, (2, 3), shared), (2, (1, 1, 1, 2), shared),
+             (2, (1, 2, 1), shared)]
+    for n, parts, data in cases:
+        fs = [SchurElement(n, a, data[a]) if data else
+              _rand_element(n, a, rng, entries=rng.randint(1, 3)) for a in parts]
+        d = sum(parts)
+        for transversal in (coset_transversal(parts), random_transversal(parts, rng),
+                            transversal_by_product(parts)):
+            got = transfer(parts, fs, transversal=transversal)
+            assert got == _transfer_full_scan(parts, fs, transversal), (n, parts)
+            for w in words_of(n, d):
+                assert got.apply_word(w) == _direct_sum(fs, parts, transversal, w), \
+                    (n, parts, transversal, w)
+        if data:
+            # the memo is hit: some column has fewer distinct blocks than sigmas
+            u = (1,) * (d - 1) + (2,)
+            transversal = coset_transversal(parts)
+            assert len({act(u, perm_inverse(s)) for s in transversal}) < len(transversal)
+            assert not got.is_zero()
+
+
 def test_operad_identity_axioms():
     rng = random.Random(13)
     one = SchurElement.scalar(3, 1)
