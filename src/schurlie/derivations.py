@@ -27,17 +27,31 @@ a block row holds the Lyndon coordinates of the image of x_{k+1} at the
 block's words.  Once a degree is done, each Hermite row of each block is
 embedded into the tensor algebra once, and a bracket of two rows is the
 Leibniz pass on those images, one decomposition per image, split into block
-rows.  By bilinearity, any Z-basis of a degree brackets to the same span.
+rows.  By bilinearity, any Z-basis of a degree brackets to the same span,
+so a later degree brackets these rows, pair by pair, as it draws its seeds.
 
-The action needs one sweep, not a fixed-point loop: basis(n, p) is a Z-basis
-of the integral Schur algebra, which contains the identity and is closed
-under composition (Green, Polynomial Representations of GL_n, LNM 830,
-1980).  So the span of b.v over every basis element b and every seed v
-contains the seeds and is mapped into itself by every b.  The blocks lose
-nothing: {u: {key: 1}} reads block u and writes block sorted_rep(key), and
-the weight idempotent {u: {u: 1}} is the identity on block u, so the swept
-span is the direct sum of its block projections, and Hermite normal form is
-unique to the span.
+The seeds of a degree, the generators at degree 2 and then the brackets of
+lower degrees, are made one at a time, and each seed is swept as soon as it
+is made: every basis endomorphism {u: {key: 1}} acts once on the seed's row
+in block u, into the lattice of block sorted_rep(key) unless that lattice
+is already Z^dim.  Once every block is Z^dim, no further seed is made; a
+degree that never gets there makes every seed.
+
+One sweep per seed is exact, with no fixed-point loop: basis(n, p) is a
+Z-basis of the integral Schur algebra, which contains the identity and is
+closed under composition (Green, Polynomial Representations of GL_n, LNM
+830, 1980).  So the span of b.v over every basis element b and every seed v
+is the module the seeds generate, whatever their order, and it is mapped
+into itself by every b.  The blocks lose nothing: {u: {key: 1}} reads block
+u and writes block sorted_rep(key), and the weight idempotent {u: {u: 1}}
+is the identity on block u, so the swept span is the direct sum of its
+block projections.  The idempotent's image of a seed row is the row itself,
+which goes into its own block first; after each row's sweep the lattices
+hold a submodule, so a row that its block's lattice already holds adds
+nothing and is not swept.  Hermite normal form is unique to the span, so
+every order of the seeds ends with the same rows in every block, and a
+saturated degree with the unit vectors: stopping there changes nothing that
+a later degree reads.
 
 The action entries come from the same basis read as orbits of pairs of
 words.  The element {u: {key: 1}} sends a word x with sorted letters u to
@@ -438,15 +452,31 @@ def _merged_divisors(per_block):
             + smith_normal_form(diagonal, len(rest), len(rest)))
 
 
+def _seeds(n, p, generators, reached):
+    """The seeds of degree p, one at a time: the generators at p = 2, else
+    the brackets of the embedded rows of degrees p1 <= p2 with p1 + p2 = p + 1,
+    each unordered pair of distinct rows once when p1 = p2."""
+    if p == 2:
+        yield from generators
+    for p1 in range(2, (p + 3) // 2):
+        p2 = p + 1 - p1  # p2 >= p1, and both are below p
+        for a_idx, a in enumerate(reached[p1]):
+            start = a_idx + 1 if p1 == p2 else 0
+            for b in reached[p2][start:]:
+                yield _bracket(n, p, a, b)
+
+
 def schur_closure_rank(n, generators, max_degree):
     """Degree-by-degree reachability report for the closure of degree-2
     generators under derivation brackets and the endomorphism action.
 
     Each degree keeps one lattice per multidegree block.  Its seeds, the
-    generators (degree 2) or the brackets of lower degrees, go in as block
-    rows.  Then every basis endomorphism {u: {key: 1}} acts once on every
-    row of block u, into the lattice of sorted_rep(key) until that lattice
-    is Z^dim (one sweep, see the module docstring).
+    generators (degree 2) or the brackets of lower degrees, are made one at
+    a time.  Each seed row of block u goes into u's lattice, and unless it
+    was there already, every other basis endomorphism {u: {key: 1}} acts on
+    it once, into the lattice of sorted_rep(key) unless that lattice is
+    Z^dim.  The degree makes no further seed once every block is Z^dim (one
+    sweep per seed, see the module docstring).
 
     Returns one dict per degree 2..max_degree with the reached rank over the
     rationals, the full rank n * witt_dimension(n, p), and the elementary
@@ -468,27 +498,22 @@ def schur_closure_rank(n, generators, max_degree):
                 partial=report)
         blocks = _blocks(n, p)
         lattices = {u: IntegerLattice(n * len(block)) for u, block in blocks.items()}
-        seeds = list(generators) if p == 2 else []
-        for p1 in range(2, (p + 3) // 2):
-            p2 = p + 1 - p1  # p2 >= p1, and both are below p
-            for a_idx, a in enumerate(reached[p1]):
-                start = a_idx + 1 if p1 == p2 else 0
-                seeds.extend(_bracket(n, p, a, b) for b in reached[p2][start:])
-        for D in seeds:
+        open_blocks = set(lattices)  # the blocks whose lattice is not Z^dim yet
+        for D in _seeds(n, p, generators, reached):
             for u, row in _block_rows(n, p, D).items():
-                lattices[u].add(row)
-        for u, lattice in lattices.items():
-            rows = lattice.basis_rows()
-            if not rows:
-                continue
-            for key, entries in _block_action(n, p, u).items():
-                target = lattices[sorted_rep(key)]
-                if target.full_unimodular():
-                    continue
-                for row in rows:
-                    image = _act_on_row(entries, n, target.dim // n, row)
-                    if target.add(image) and target.full_unimodular():
-                        break
+                if u not in open_blocks or not lattices[u].add(row):
+                    continue  # in the swept span already, which is a submodule
+                for key, entries in _block_action(n, p, u).items():
+                    v = sorted_rep(key)
+                    if key != u and v in open_blocks:  # key u is the identity
+                        target = lattices[v]
+                        image = _act_on_row(entries, n, target.dim // n, row)
+                        if target.add(image) and target.full_unimodular():
+                            open_blocks.discard(v)
+                if lattices[u].full_unimodular():
+                    open_blocks.discard(u)
+            if not open_blocks:
+                break
         rank = sum(lattice.rank() for lattice in lattices.values())
         dim = n * len(lyndon_words(n, p))
         divisors = _merged_divisors(

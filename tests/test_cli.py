@@ -712,6 +712,19 @@ def test_cli_dimension_at_the_oracle_guards(capsys):
     assert top["pass"]
 
 
+def test_python_dash_m_schurlie_runs_the_cli(capsys):
+    argv = ["verify", "generation", "--n", "2", "--max-degree", "3", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-m", "schurlie", *argv],
+                         capture_output=True, text=True,
+                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == expected
+    assert json.loads(run.stdout)["ok"]
+
+
 def test_cli_json_identical_across_processes():
     # hash randomization differs per process; output bytes must not
     cmd = [sys.executable, "-m", "schurlie.cli", "verify", "star-laws",

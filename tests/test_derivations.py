@@ -542,6 +542,7 @@ def test_closure_resource_guard_partial_report():
     with pytest.raises(ResourceGuardExceeded) as info:
         schur_closure_rank(3, mtilde_generators(3), 6)
     assert isinstance(info.value.partial, list)
+    assert info.value.partial == schur_closure_rank(3, mtilde_generators(3), 4)
 
 
 @pytest.mark.parametrize("n, p", [(3, 5), (3, 6), (4, 4), (5, 3)])
@@ -690,6 +691,73 @@ def test_block_lattices_match_full_width_oracle(monkeypatch, n, seeds, max_degre
                     derivation_from_vector(n, p, row, tuple(block))))
         assert union.rows == expected.rows
     assert next(block_lattices, None) is None
+
+
+def _pair_counts(report):
+    """degree -> the number of brackets the closure makes when it draws
+    every seed: r1 * r2 pairs of rows of degrees p1 < p2 with p1 + p2 =
+    p + 1, and r (r - 1) / 2 when p1 = p2, r the reached ranks"""
+    ranks = {e["degree"]: e["reached_rank"] for e in report}
+    counts = {}
+    for p in ranks:
+        counts[p] = 0
+        for p1 in range(2, (p + 3) // 2):
+            r1, r2 = ranks[p1], ranks[p + 1 - p1]
+            counts[p] += r1 * (r1 - 1) // 2 if 2 * p1 == p + 1 else r1 * r2
+    return counts
+
+
+@pytest.mark.parametrize("n, seeds, max_degree", [
+    (2, mtilde_generators, 7), (3, mtilde_generators, 4),
+    (2, _chi_multiples, 6), (3, _chi_multiples, 4), (3, _double_gamma, 4),
+    (3, _double_chi, 4)])
+def test_closure_stops_drawing_seeds_only_at_z_dim(monkeypatch, n, seeds, max_degree):
+    # a degree stops bracketing once every block is Z^dim: the quadratic
+    # generators saturate with fewer brackets than pairs, and seeds that
+    # never saturate still bracket every pair
+    made = []
+    bracket = derivations._bracket
+
+    def counting(n, degree, d_images, e_images):
+        made.append(degree)
+        return bracket(n, degree, d_images, e_images)
+
+    monkeypatch.setattr(derivations, "_bracket", counting)
+    report = schur_closure_rank(n, seeds(n), max_degree)
+    full = _pair_counts(report)
+    got = {p: made.count(p) for p in full}
+    if seeds is mtilde_generators:
+        assert all(e["saturated"] for e in report)
+        assert all(got[p] <= full[p] for p in full)
+        assert sum(got.values()) < sum(full.values())
+    else:
+        assert not any(e["saturated"] for e in report)
+        assert got == full
+
+
+@pytest.mark.parametrize("n, seeds, max_degree", [
+    (2, _mixed_mtilde, 7), (3, _mixed_mtilde, 4), (3, mtilde_generators, 5)])
+def test_closure_is_independent_of_the_generator_order(monkeypatch, n, seeds, max_degree):
+    # the order of the adds follows the order of the seeds; the report and
+    # the Hermite rows of every block lattice must not
+    monkeypatch.setattr(derivations, "CLOSURE_BASIS_GUARD",
+                        max(derivations.CLOSURE_BASIS_GUARD,
+                            basis_dimension_formula(n, max_degree)))
+    recorded = []
+
+    class Recording(IntegerLattice):
+        def __init__(self, dim):
+            super().__init__(dim)
+            recorded.append(self)
+
+    monkeypatch.setattr(derivations, "IntegerLattice", Recording)
+    runs = []
+    for gens in (seeds(n), seeds(n)[::-1]):
+        recorded.clear()
+        report = schur_closure_rank(n, gens, max_degree)
+        runs.append((report, [lattice.rows for lattice in recorded]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == max_degree - 1
 
 
 def test_merged_divisors_take_the_smith_form_across_blocks():
