@@ -13,12 +13,16 @@ keys of u.
 
 Word-by-word column maps are built only for equivariance checks, over the
 support of an element; the brute-force dimension oracle alone scans all n^q
-words.
+words.  The check itself builds no tensor: each adjacent transposition is
+one itemgetter that swaps two positions of a word, and the column at the
+swapped word is compared term by term with the swapped pairs of the word's
+own column.
 """
 
 import math
 from functools import lru_cache
 from itertools import groupby, product
+from operator import itemgetter
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
@@ -284,15 +288,34 @@ def is_equivariant(colmap, n, q):
     word w, M(w.s_i) = M(w).s_i is nonzero, so w.s_i is in the support too;
     as s_i is an involution, a word outside the support is never sent into
     it, and there both sides vanish.
+
+    Each s_i is one itemgetter that reads a word with positions i and i+1
+    swapped: for an involution, that is the word acted on by s_i.  The pairs
+    of M(w.s_i) are compared, term by term in one dict comparison, with the
+    pairs of M(w) read through the swap.  The swap is a bijection on words,
+    so equal dicts mean equal tensors of degree q, and a missing or zero
+    M(w.s_i) fails.
+
+    >>> swap = {(a, b): TensorElement.from_word((b, a)) for a in (1, 2) for b in (1, 2)}
+    >>> is_equivariant(swap, 2, 2)
+    True
+    >>> is_equivariant({(1, 2): TensorElement.from_word((1, 2))}, 2, 2)
+    False
     """
     if q > EQUIVARIANCE_GUARD:
         raise ResourceGuardExceeded(f"equivariance check limited to degree {EQUIVARIANCE_GUARD}")
-    zero = TensorElement(q)
-    support = [w for w, col in colmap.items() if not col.is_zero()]
+    support = []
+    for w, col in colmap.items():
+        if len(w) != q or col.degree != q:
+            raise DimensionMismatch(
+                f"word {w!r} with a degree-{col.degree} column in a degree-{q} map")
+        if col._coeffs:
+            support.append((w, col._coeffs))
     for i in range(1, q):
-        s_i = perm_from_cycles([(i, i + 1)], q)
-        for w in support:
-            if colmap.get(act(w, s_i), zero) != colmap[w].act(s_i):
+        swap = itemgetter(*range(i - 1), i, i - 1, *range(i + 1, q))
+        for w, coeffs in support:
+            image = colmap.get(swap(w))
+            if image is None or image._coeffs != {swap(v): c for v, c in coeffs.items()}:
                 return False
     return True
 

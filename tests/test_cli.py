@@ -408,6 +408,8 @@ LAWS_PINS = {
         "b7dbbd3bba289551194b370fc6c5e6e6ed6a54fac35f878a0e6781e92d01ce37",
     "equivariance --n 2 --max-degree 6":
         "d750b5cd2c93be7228845ae7e503c6d941543424941facff0430cb20c84e5635",
+    "equivariance --n 3 --max-degree 5":
+        "30eb2e0d6f2712d379b9162519a29847ff0f6d9c809904ab3e3292a0d05a4ab0",
 }
 
 

@@ -2,6 +2,7 @@ import doctest
 
 import schurlie.freelie
 import schurlie.linalg
+import schurlie.schur
 import schurlie.words
 
 
@@ -17,4 +18,9 @@ def test_freelie_doctests():
 
 def test_linalg_doctests():
     failures, tried = doctest.testmod(schurlie.linalg)
+    assert tried and not failures
+
+
+def test_schur_doctests():
+    failures, tried = doctest.testmod(schurlie.schur)
     assert tried and not failures

@@ -16,8 +16,8 @@ from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             letter_substitution, orbit_keys,
                             orbit_data_of_column, orbit_sum,
                             schur_is_equivariant)
-from schurlie.words import (TensorElement, act, perm_inverse, sorted_words,
-                            stabilizer_orbit_key, words_of)
+from schurlie.words import (TensorElement, act, perm_from_cycles, perm_inverse,
+                            sorted_words, stabilizer_orbit_key, words_of)
 
 
 def all_perms(q):
@@ -162,6 +162,64 @@ def test_is_equivariant_matches_exhaustive_oracle():
                 assert is_equivariant(m, n, q) == expected, (n, q, m)
                 verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+def test_is_equivariant_edges_match_exhaustive_oracle():
+    """The swapped-pairs comparison at its edges, against the oracle: a
+    changed coefficient that keeps every column's size, a zero tensor stored
+    at w.s_i, and nonzero maps at q = 0, 1 and 2."""
+    rng = random.Random(22)
+    changed_verdicts = []
+    zeroed_maps = 0
+    for n, q in [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4)]:
+        for _ in range(4):
+            colmap = _rand_element(n, q, rng, entries=3).column_map()
+            # one coefficient doubled: every column keeps its size
+            w = rng.choice(sorted(colmap))
+            v, c = rng.choice(sorted(colmap[w].items()))
+            changed = {**colmap, w: TensorElement(q, {**dict(colmap[w].items()), v: 2 * c})}
+            assert all(len(changed[x]) == len(colmap[x]) for x in colmap)
+            expected = _is_equivariant_exhaustive(changed, q)
+            assert is_equivariant(changed, n, q) == expected, (n, q, changed)
+            changed_verdicts.append(expected)
+            # the column at w.s_i present but zero, for a support word w
+            moves = [(x, perm_from_cycles([(i, i + 1)], q)) for x in sorted(colmap)
+                     for i in range(1, q)]
+            moves = [(x, s_i) for x, s_i in moves if act(x, s_i) != x]
+            if moves:
+                x, s_i = rng.choice(moves)
+                zeroed = {**colmap, act(x, s_i): TensorElement(q)}
+                assert not _is_equivariant_exhaustive(zeroed, q)
+                assert not is_equivariant(zeroed, n, q)
+                zeroed_maps += 1
+    assert False in changed_verdicts and zeroed_maps
+    # no transposition below q = 2: every map commutes with Sigma_0 and Sigma_1
+    for q, colmap in [(0, {(): TensorElement(0, {(): 5})}),
+                      (1, {(1,): TensorElement(1, {(2,): 3}),
+                           (2,): TensorElement(1, {(1,): -1, (2,): 2})})]:
+        assert _is_equivariant_exhaustive(colmap, q)
+        assert is_equivariant(colmap, 2, q)
+    # q = 2, a single two-index getter: random maps and their symmetrizations
+    # M(w) + M(w.s).s, which commute with s = (2, 1) by construction
+    verdicts = []
+    for n in (2, 3, 2, 3):
+        words = list(words_of(n, 2))
+        m = {w: TensorElement(2, {x: rng.choice([-1, 1]) for x in rng.sample(words, 2)})
+             for w in words if rng.random() < 0.7}
+        zero = TensorElement(2)
+        sym = {w: m.get(w, zero) + m.get(act(w, (2, 1)), zero).act((2, 1)) for w in words}
+        for colmap in (m, sym):
+            expected = _is_equivariant_exhaustive(colmap, 2)
+            assert is_equivariant(colmap, n, 2) == expected, (n, colmap)
+            verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def test_is_equivariant_refuses_a_column_of_another_degree():
+    with pytest.raises(DimensionMismatch):
+        is_equivariant({(1, 2): TensorElement.from_word((1, 2, 1))}, 2, 2)
+    with pytest.raises(DimensionMismatch):
+        is_equivariant({(1, 2, 1): TensorElement.from_word((1, 2))}, 2, 2)
 
 
 def test_is_equivariant_guard():
