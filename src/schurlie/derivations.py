@@ -159,8 +159,10 @@ def _check_triple_indices(n, i, s, t):
         raise InvalidArgument(f"indices ({i},{s},{t}) outside 1..{n}")
 
 
+@lru_cache(maxsize=None)
 def conjugating_derivation(n, i, j):
-    """x_i maps to [x_i, x_j], all other generators to zero (degree 2)."""
+    """x_i maps to [x_i, x_j], all other generators to zero (degree 2);
+    built once per (n, i, j)."""
     _check_pair_indices(n, i, j)
     return generator_derivation(i, normalize(n, (i, j)))
 

@@ -12,19 +12,27 @@ Conventions, fixed here and relied on throughout:
     verify_mccool also records the opposite-order outcome (the relation set
     is closed under word reversal, so both orders in fact pass);
   * magnus expands a word letter by letter into one coefficient dict per
-    word length (its layers), and returns them merged as a MagnusSeries.
+    word length (its layers), keyed by integer codes: a word u of length d
+    over 1..n is the base-n number with digits u_k - 1, and the layer index
+    gives d back.  Only the layers that are read are decoded into tuples:
+    all of them for magnus, the top one for johnson_image;
+  * an endomorphism substitutes and reduces in one pass, and a commutator
+    of AutPairs composes its inverse only when .inv is first read; the
+    named conjugating automorphisms are built, and their inverse checked,
+    once per (n, i, j).
 
 Together these make the depth-m Johnson image a Lie morphism on the nose:
 the image of a group commutator is the derivation bracket of the images.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NotInFiltration, ResourceGuardExceeded)
 from .derivations import (Derivation, _check_pair_indices, _check_triple_indices,
                           conjugating_derivation, der_bracket)
-from .freelie import decompose
+from .freelie import decompose, zero_lie
 from .words import SparseCombination, TensorElement, check_word
 
 MAGNUS_TRUNCATION_GUARD = 6  # series size grows like n^degree
@@ -74,9 +82,12 @@ def word_commutator(a, b):
 # endomorphisms of the free group
 
 class EndoOnFree:
-    """An endomorphism given by generator images (invertibility unchecked)."""
+    """An endomorphism given by generator images (invertibility unchecked).
 
-    __slots__ = ("n", "images")
+    The inverses of the images are built on the first apply and kept in a
+    slot that == and hash do not read."""
+
+    __slots__ = ("n", "images", "_inverse_images")
 
     def __init__(self, n, images):
         images = tuple(reduce_word(w) for w in images)
@@ -87,6 +98,7 @@ class EndoOnFree:
                 raise InvalidArgument(f"letter outside rank {n} in {w!r}")
         self.n = n
         self.images = images
+        self._inverse_images = None
 
     @classmethod
     def _trusted(cls, n, images):
@@ -94,6 +106,7 @@ class EndoOnFree:
         self = cls.__new__(cls)
         self.n = n
         self.images = images
+        self._inverse_images = None
         return self
 
     def apply(self, w):
@@ -106,12 +119,25 @@ class EndoOnFree:
     __call__ = apply
 
     def _apply(self, w):
-        """apply for letters already known to be nonzero integers in -n..n."""
+        """apply for letters already known to be nonzero integers in -n..n.
+
+        Substitutes and reduces in one pass.  The images and the output so
+        far are reduced words, so letters cancel only where an image meets
+        the tail of the output: pop while the tail inverts the image's next
+        letter, then append the rest of the image."""
+        images = self.images
+        inverses = self._inverse_images
+        if inverses is None:
+            inverses = self._inverse_images = tuple(map(word_inv, images))
         out = []
         for a in w:
-            img = self.images[a - 1] if a > 0 else word_inv(self.images[-a - 1])
-            out.extend(img)
-        return _reduce(out)
+            img = images[a - 1] if a > 0 else inverses[-a - 1]
+            k = 0
+            while out and k < len(img) and out[-1] == -img[k]:
+                out.pop()
+                k += 1
+            out.extend(img[k:])
+        return tuple(out)
 
     def compose(self, other):
         """self after other: (self * other)(x) = self(other(x))."""
@@ -138,23 +164,38 @@ class EndoOnFree:
 
 class AutPair:
     """An automorphism carried together with its inverse, so that group
-    commutators of generated elements stay computable in closed form."""
+    commutators of generated elements stay computable in closed form.
 
-    __slots__ = ("fwd", "inv")
+    The constructor checks fwd * inv = inv * fwd = id; conjugating_auto is
+    cached, so each named generator is checked once per process.  Products
+    and commutators of checked pairs skip the check.  A commutator [a, b]
+    composes its inverse [b, a] only when .inv is first read: the last
+    level of a classify_pair certificate never reads it."""
+
+    __slots__ = ("fwd", "_inv", "_factors")
 
     def __init__(self, fwd, inv):
         if not (fwd * inv).is_identity() or not (inv * fwd).is_identity():
             raise InvalidArgument("claimed inverse is not an inverse")
         self.fwd = fwd
-        self.inv = inv
+        self._inv = inv
 
     @classmethod
     def _trusted(cls, fwd, inv):
         """Pair fwd with inv as is: inv is known to be fwd's inverse."""
         self = cls.__new__(cls)
         self.fwd = fwd
-        self.inv = inv
+        self._inv = inv
         return self
+
+    @property
+    def inv(self):
+        inv = self._inv
+        if inv is None:  # a commutator [a, b]: its inverse is [b, a]
+            a, b = self._factors
+            inv = self._inv = b.inv * a.inv * b.fwd * a.fwd
+            del self._factors
+        return inv
 
     def inverse(self):
         return AutPair._trusted(self.inv, self.fwd)
@@ -164,13 +205,15 @@ class AutPair:
 
     def commutator(self, other):
         """[a, b] = a^{-1} b^{-1} a b as an AutPair."""
-        fwd = self.inv * other.inv * self.fwd * other.fwd
-        inv = other.inv * self.inv * other.fwd * self.fwd
-        return AutPair._trusted(fwd, inv)
+        pair = AutPair._trusted(self.inv * other.inv * self.fwd * other.fwd, None)
+        pair._factors = (self, other)
+        return pair
 
 
+@lru_cache(maxsize=None)
 def conjugating_auto(n, i, j):
-    """x_i maps to x_j^{-1} x_i x_j, every other generator is fixed."""
+    """x_i maps to x_j^{-1} x_i x_j, every other generator is fixed; built
+    and checked once per (n, i, j)."""
     _check_pair_indices(n, i, j)
     images = [(k,) for k in range(1, n + 1)]
     images[i - 1] = (-j, i, j)
@@ -295,10 +338,32 @@ class MagnusSeries(SparseCombination):
 
 def magnus(w, truncation):
     """Multiplicative expansion x_i -> 1 + X_i of a group word, freely
-    reduced first.
+    reduced first."""
+    if truncation < 1:
+        raise InvalidArgument("truncation degree must be >= 1")
+    w = reduce_word(w)
+    base = _letter_base(w)
+    layers = _magnus_layers(w, truncation)
+    return MagnusSeries._trusted(
+        truncation, {u: c for d, layer in enumerate(layers)
+                     for u, c in _decoded(layer, d, base).items()})
 
-    The word is read one letter at a time into layers[d], the length-d part
-    of the series so far, updated in place:
+
+def _letter_base(w):
+    """The base of the integer codes of the words in w's expansion: the
+    largest generator index in w."""
+    return max(map(abs, w), default=1)
+
+
+def _magnus_layers(w, truncation):
+    """The layers of magnus(w, truncation) for a reduced word w and
+    truncation >= 1: one dict per length d = 0..truncation, from the code
+    of a length-d word to its coefficient.  A word u over 1.._letter_base(w)
+    is coded as the base-n number with digits u_k - 1, so appending the
+    letter a to a code c gives c * n + a - 1.
+
+    The word is read one letter at a time, and the layers are updated in
+    place:
 
       * x_a multiplies by 1 + X_a: layers[d] += layers[d-1] X_a, for d from
         truncation down to 1, so each layer reads the old layer below it;
@@ -308,32 +373,35 @@ def magnus(w, truncation):
 
     Entries that become 0 are deleted.
     """
-    if truncation < 1:
-        raise InvalidArgument("truncation degree must be >= 1")
-    layers = _magnus_layers(reduce_word(w), truncation)
-    return MagnusSeries._trusted(
-        truncation, {u: c for layer in layers for u, c in layer.items()})
-
-
-def _magnus_layers(w, truncation):
-    """The layers of magnus(w, truncation) for a reduced word w and
-    truncation >= 1: one dict per length 0..truncation."""
-    layers = [{(): 1}] + [{} for _ in range(truncation)]
+    base = _letter_base(w)
+    layers = [{0: 1}] + [{} for _ in range(truncation)]
     for a in w:
         if a > 0:
-            degrees, letter, sign = range(truncation, 0, -1), (a,), 1
+            degrees, digit, sign = range(truncation, 0, -1), a - 1, 1
         else:
-            degrees, letter, sign = range(1, truncation + 1), (-a,), -1
+            degrees, digit, sign = range(1, truncation + 1), -a - 1, -1
         for d in degrees:
             layer = layers[d]
             for u, c in layers[d - 1].items():
-                key = u + letter
+                key = u * base + digit
                 total = layer.get(key, 0) + sign * c
                 if total:
                     layer[key] = total
                 else:
                     del layer[key]
     return layers
+
+
+def _decoded(layer, d, base):
+    """A layer of _magnus_layers keyed by words (tuples) of length d."""
+    out = {}
+    for code, c in layer.items():
+        word = []
+        for _ in range(d):
+            code, digit = divmod(code, base)
+            word.append(digit + 1)
+        out[tuple(reversed(word))] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +413,8 @@ def johnson_image(alpha, m):
     Requires x_i^{-1} alpha(x_i) to expand with no terms in degrees 1..m
     (otherwise alpha is not deep enough and NotInFiltration is raised); the
     degree-(m+1) homogeneous parts are then Lie elements and assemble into
-    the generator images of the result.
+    the generator images of the result.  A generator that alpha fixes
+    gets the zero image without an expansion.
     """
     if isinstance(alpha, AutPair):
         alpha = alpha.fwd
@@ -357,14 +426,19 @@ def johnson_image(alpha, m):
     n = alpha.n
     images = []
     for i in range(1, n + 1):
-        layers = _magnus_layers(word_mul((-i,), alpha.images[i - 1]), m + 1)
-        if layers[0] != {(): 1}:
+        w = _reduce((-i,) + alpha.images[i - 1])
+        if not w:
+            images.append(zero_lie(n, m + 1))
+            continue
+        layers = _magnus_layers(w, m + 1)
+        if layers[0] != {0: 1}:
             raise InternalInvariantError("group-element series must start at 1")
         d = next((d for d in range(1, m + 1) if layers[d]), None)
         if d is not None:
             raise NotInFiltration(
                 f"x_{i} moves in degree {d}; automorphism is not at depth {m}")
-        images.append(decompose(n, TensorElement._trusted(m + 1, layers[m + 1])))
+        top = _decoded(layers[m + 1], m + 1, _letter_base(w))
+        images.append(decompose(n, TensorElement._trusted(m + 1, top)))
     return Derivation(n, m + 1, images)
 
 
@@ -392,6 +466,10 @@ def classify_pair(n, first, second, depth):
         raise InvalidArgument("the two automorphisms must be distinct")
     if depth < 2:
         raise InvalidArgument("certificate depth must be >= 2")
+    if depth + 1 > MAGNUS_TRUNCATION_GUARD:
+        raise ResourceGuardExceeded(
+            f"certificate depth {depth} needs Magnus truncation {depth + 1}, "
+            f"above guard {MAGNUS_TRUNCATION_GUARD}")
     a = conjugating_auto(n, i, j)
     b = conjugating_auto(n, i2, j2)
     if _expected_abelian(i, j, i2, j2):

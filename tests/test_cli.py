@@ -420,6 +420,28 @@ def test_cli_verify_laws_pin(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == LAWS_PINS[command]
 
 
+# the free-group suites at depth 5 and rank 5, beyond the benchmark's pins at
+# depth 4 and rank 4: the deepest Magnus layers the guard admits, pinned to
+# the kernel that reduced each substitution in a second pass
+FREEGROUP_PINS = {
+    "pairs --n 4 --depth 5":
+        "e64ea874f46f81cc82454c7b5866b3a47bc25e4c4de6537d4746200122b41982",
+    "pairs --n 5 --depth 5":
+        "8fed0fb32d4c1b15f619f94d5848241bc819b95ae985e044cdcd071d6b3e7dce",
+    "johnson --n 5":
+        "bb1e9377dfa55e220e0bc3210a5fb53516dc61a2d0bf3bc689fa34c195bf301f",
+    "mccool --n 5":
+        "10c5ffd2f6d44ce66520402e7ec7fb785237188e33e3fffdbd507e7e115a7f0e",
+}
+
+
+@pytest.mark.parametrize("command", FREEGROUP_PINS)
+def test_cli_verify_freegroup_pin(capsys, command):
+    assert main(["verify", *command.split(), "--seed", "0", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FREEGROUP_PINS[command]
+
+
 # the front end's outputs, pinned to the evaluator that bracketed in Lyndon
 # coordinates at every node: per argv the exit code and, on exit 0, the
 # sha256 of stdout, else the one stderr line after "error: "
@@ -535,6 +557,11 @@ FRONTEND_PINS = [
     (["brq", "--shape", _comb(17)], 2, "bracket shape with 17 leaves, above 16"),
     (["schur-basis", "--n", "8", "--q", "8"], 2,
      "basis of degree 8, rank 8 has 10639125640 elements, above 100000"),
+    # the certificate depth is refused before any commutator is built
+    (["classify", "--pair", "1,2:2,1", "--depth", "5", "--json"], 0,
+     "afc273e3c9d7041ba97446732dad358d8bbaba42248a2a8c384149fb21fedf80"),
+    (["classify", "--pair", "1,2:2,1", "--depth", "6"], 2,
+     "certificate depth 6 needs Magnus truncation 7, above guard 6"),
 ]
 
 

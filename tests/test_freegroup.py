@@ -1,11 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schurlie import freegroup
-from schurlie.derivations import (commutator_derivation, conjugating_derivation,
-                                  der_bracket)
+from schurlie.derivations import (Derivation, commutator_derivation,
+                                  conjugating_derivation, der_bracket)
 from schurlie.errors import (InternalInvariantError, InvalidArgument, NotInFiltration,
                              ResourceGuardExceeded)
 from schurlie.freegroup import (MAGNUS_TRUNCATION_GUARD, AutPair, EndoOnFree,
@@ -13,7 +14,8 @@ from schurlie.freegroup import (MAGNUS_TRUNCATION_GUARD, AutPair, EndoOnFree,
                                 johnson_image, magnus,
                                 reduce_word, verify_mccool, word_commutator,
                                 word_inv, word_mul)
-from schurlie.freelie import generator, lie_bracket
+from schurlie.freelie import decompose, generator, lie_bracket, zero_lie
+from schurlie.words import TensorElement
 
 
 def test_reduce_word():
@@ -80,6 +82,56 @@ def test_compose_endo():
     assert lhs == chi.fwd.apply(theta.fwd.apply((1,)))
 
 
+def _apply_two_pass(images, w):
+    """Substitute every letter, then freely reduce the whole word: the
+    oracle for EndoOnFree's one-pass substitution."""
+    out = []
+    for a in w:
+        out.extend(images[a - 1] if a > 0 else word_inv(images[-a - 1]))
+    return reduce_word(out)
+
+
+@st.composite
+def endo_and_word(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    letters = [a for a in range(-n, n + 1) if a]
+    images = [tuple(draw(st.lists(st.sampled_from(letters), max_size=5)))
+              for _ in range(n)]
+    return n, images, tuple(draw(st.lists(st.sampled_from(letters), max_size=12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(endo_and_word())
+# x1 -> x2^-1 x1 cancels a whole x2 on its left, and (1, -1) a whole image
+@example((2, [(-2, 1), (2,)], (2, 1, 1, -2, -1, 2)))
+@example((2, [(-2, 1), (2,)], (1, -1, 2, -1)))
+@example((3, [(-2, -3, 1), (3, 2), (3,)], (2, 1, -1, 2, 1)))
+def test_apply_matches_two_pass_oracle(case):
+    n, images, w = case
+    endo = EndoOnFree(n, images)
+    assert endo.apply(w) == _apply_two_pass(images, w)
+    assert endo.apply(w) == _apply_two_pass(images, w)  # the cached inverses
+
+
+def test_cached_inverse_images_stay_out_of_equality():
+    fresh = EndoOnFree(3, [(-2, 1, 2), (2,), (3,)])
+    used = EndoOnFree(3, [(-2, 1, 2), (2,), (3,)])
+    before = hash(used)
+    assert used.apply((-1, 3)) == (-2, -1, 2, 3)
+    assert used == fresh and hash(used) == before == hash(fresh)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cached_conjugating_auto_equals_a_checked_pair(n):
+    for i, j in permutations(range(1, n + 1), 2):
+        fwd = [(k,) if k != i else (-j, i, j) for k in range(1, n + 1)]
+        inv = [(k,) if k != i else (j, i, -j) for k in range(1, n + 1)]
+        fresh = AutPair(EndoOnFree(n, fwd), EndoOnFree(n, inv))
+        chi = conjugating_auto(n, i, j)
+        assert chi.fwd == fresh.fwd and chi.inv == fresh.inv
+        assert conjugating_auto(n, i, j) is chi
+
+
 def test_verify_mccool_small_ranks():
     for n in (3, 4):
         result = verify_mccool(n)
@@ -135,7 +187,7 @@ def _magnus_by_products(w, truncation):
 
 @st.composite
 def reduced_words(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=5))
     word = []
     for _ in range(draw(st.integers(min_value=0, max_value=20))):
         word.append(draw(st.sampled_from(
@@ -217,6 +269,57 @@ def test_autpair_products_keep_their_inverse():
             assert (pair.inv * pair.fwd).is_identity()
 
 
+def _left_normed_levels(a, b, depth):
+    """Per depth m = 2..depth, the left-normed commutators of a and b of
+    that depth, [a,b], then [[a,b],a], [[a,b],b], ...: the frontier of
+    classify_pair, each with its two factors."""
+    levels = {2: [(a.commutator(b), a, b)]}
+    for m in range(3, depth + 1):
+        levels[m] = [(c.commutator(g), c, g) for c, _, _ in levels[m - 1] for g in (a, b)]
+    return levels
+
+
+def _johnson_by_magnus(alpha, m):
+    """johnson_image from the public magnus of each x_i^-1 alpha(x_i): its
+    degrees 1..m vanish, and its degree-(m+1) part decomposes."""
+    n = alpha.n
+    images = []
+    for i in range(1, n + 1):
+        series = magnus(word_mul((-i,), alpha.images[i - 1]), m + 1)
+        assert not [u for u, _ in series.items() if 0 < len(u) <= m]
+        top = {u: c for u, c in series.items() if len(u) == m + 1}
+        images.append(decompose(n, TensorElement(m + 1, top)))
+    return Derivation(n, m + 1, images)
+
+
+@pytest.mark.parametrize("first, second", [((1, 2), (2, 1)), ((1, 2), (2, 3)),
+                                           ((1, 2), (1, 3)), ((2, 4), (4, 1))])
+def test_johnson_image_matches_magnus_oracle(first, second):
+    n = 4
+    a, b = conjugating_auto(n, *first), conjugating_auto(n, *second)
+    unmoved = 0
+    for m, level in _left_normed_levels(a, b, 4).items():
+        for c, _, _ in level:
+            image = johnson_image(c, m)
+            assert image == _johnson_by_magnus(c.fwd, m)
+            for i in range(1, n + 1):
+                if c.fwd.images[i - 1] == (i,):
+                    unmoved += 1
+                    assert image.image(i) == zero_lie(n, m + 1)
+    assert unmoved  # each pair here fixes a generator, so the skip is reached
+
+
+def test_commutator_inverse_is_the_reversed_commutator():
+    n = 3
+    for first, second in [((1, 2), (2, 1)), ((1, 2), (2, 3)), ((1, 3), (1, 2))]:
+        a, b = conjugating_auto(n, *first), conjugating_auto(n, *second)
+        for level in _left_normed_levels(a, b, 4).values():
+            for c, x, y in level:
+                assert c.inv == y.commutator(x).fwd
+                assert (c.fwd * c.inv).is_identity()
+                assert (c.inv * c.fwd).is_identity()
+
+
 def test_johnson_additivity_depth_one():
     rng = random.Random(32)
     n = 3
@@ -263,6 +366,22 @@ def test_classify_pair_builds_only_certified_commutators(monkeypatch, depth):
     result = classify_pair(3, (1, 2), (2, 3), depth)
     assert len(result["certificate"]) == 2 ** (depth - 1) - 1
     assert len(calls) == 2 ** (depth - 1) - 1
+
+@pytest.mark.parametrize("pair", [((1, 2), (2, 3)), ((1, 3), (2, 3))])
+def test_classify_pair_refuses_depth_before_any_commutator(monkeypatch, pair):
+    calls = []
+    commutator = AutPair.commutator
+
+    def counting(self, other):
+        calls.append(1)
+        return commutator(self, other)
+
+    monkeypatch.setattr(AutPair, "commutator", counting)
+    depth = MAGNUS_TRUNCATION_GUARD
+    with pytest.raises(ResourceGuardExceeded, match=f"certificate depth {depth} "):
+        classify_pair(3, *pair, depth)
+    assert calls == []
+
 
 def test_classify_pair_validation():
     with pytest.raises(InvalidArgument):
