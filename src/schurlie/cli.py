@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .errors import InvalidArgument, ResourceGuardExceeded, SchurlieError
@@ -78,7 +79,10 @@ def _infer_rank(args, ast):
     return max_generator(ast)
 
 
-def main(argv=None):
+@lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once per process: parse_args leaves it as
+    it was, so one call's flags never reach the next."""
     parser = argparse.ArgumentParser(
         prog="schurlie",
         description="Exact computer algebra for equivariant tensor endomorphisms, "
@@ -155,8 +159,11 @@ def main(argv=None):
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--generators", choices=["mtilde", "gamma"], default=None)
     p.add_argument("--json", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except SchurlieError as exc:
@@ -295,9 +302,9 @@ def _dispatch(args):
         return 0
 
     if args.command == "verify":
-        from inspect import signature  # inspect imports slower than all of schurlie
         fn = SUITES[args.suite]
-        accepted = signature(fn).parameters
+        code = fn.__code__  # inspect.signature would cost its import
+        accepted = code.co_varnames[:code.co_argcount]
         kwargs = {"seed": args.seed}
         for name in ("n", "max_degree", "depth", "generators"):
             value = getattr(args, name)

@@ -20,67 +20,62 @@ one embedding, one Leibniz pass over the words and one decomposition.
 The closure engine computes, degree by degree, the integer lattice spanned by
 everything reachable from a set of degree-2 generators through derivation
 brackets of lower degrees and through the degree-matched action of the
-equivariant-endomorphism basis, reporting rank and elementary divisors
-against the expected n * (number of Lyndon words).  It keeps one lattice per
-multidegree block, the Lyndon words with the same sorted letters u; slot k of
-a block row holds the Lyndon coordinates of the image of x_{k+1} at the
-block's words.  Once a degree is done, each Hermite row of each block is
-embedded into the tensor algebra once, and a bracket of two rows is the
-Leibniz pass on those images, one decomposition per image, split into block
-rows.  By bilinearity, any Z-basis of a degree brackets to the same span,
-so a later degree brackets these rows, pair by pair, as it draws its seeds.
+integral Schur algebra, reporting rank and elementary divisors against the
+expected n * (number of Lyndon words).  It keeps one lattice per multidegree
+block, the Lyndon words with the same sorted letters u; slot k of a block row
+holds the Lyndon coordinates of the image of x_{k+1} at the block's words.
+Once a degree is done, each Hermite row of each block is embedded into the
+tensor algebra once, and a bracket of two rows is the Leibniz pass on those
+images, one decomposition per image, split into block rows.  By
+bilinearity, any Z-basis of a degree brackets to the same span, so a later
+degree brackets these rows, pair by pair, as it draws its seeds.
 
 The seeds of a degree, the generators at degree 2 and then the brackets of
-lower degrees, are made one at a time, and each seed is swept as soon as it
-is made: every basis endomorphism {u: {key: 1}} acts once on the seed's row
-in block u, into the lattice of block sorted_rep(key) unless that lattice
-is already Z^dim.  Once every block is Z^dim, no further seed is made; a
-degree that never gets there makes every seed.
+lower degrees, are made one at a time, and the block rows of each seed go
+through a first-in first-out worklist as soon as it is made: a row that
+grows its block's lattice queues its images under every divided power
+E_i^(r) and F_i^(r) whose block's lattice is not Z^dim yet.  Once every
+block is Z^dim, no further seed is made; a degree that never gets there
+makes every seed.
 
-One sweep per seed is exact, with no fixed-point loop: basis(n, p) is a
-Z-basis of the integral Schur algebra, which contains the identity and is
-closed under composition (Green, Polynomial Representations of GL_n, LNM
-830, 1980).  So the span of b.v over every basis element b and every seed v
-is the module the seeds generate, whatever their order, and it is mapped
-into itself by every b.  The blocks lose nothing: {u: {key: 1}} reads block
-u and writes block sorted_rep(key), and the weight idempotent {u: {u: 1}}
-is the identity on block u, so the swept span is the direct sum of its
-block projections.  The idempotent's image of a seed row is the row itself,
-which goes into its own block first; after each row's sweep the lattices
-hold a submodule, so a row that its block's lattice already holds adds
-nothing and is not swept.  Hermite normal form is unique to the span, so
-every order of the seeds ends with the same rows in every block, and a
-saturated degree with the unit vectors: stopping there changes nothing that
-a later degree reads.
-
-The action entries come from the same basis read as orbits of pairs of
-words.  The element {u: {key: 1}} sends a word x with sorted letters u to
-orbit_sum(u, key) moved by the place permutation that sorts u onto x, and
-zero to every other word.  For any word l, exactly one key puts l in the
-image of x: for each letter a of u in increasing order, the sorted letters
-of l at the positions where x holds a.  So one pass over the pairs (x in the
-support of embed(P_w), l a Lyndon word) gives every key's coefficients at the
-Lyndon words at once.  The embedding is unitriangular, P_l = l + larger
-words (Chen-Fox-Lyndon), so back-substitution in increasing Lyndon order
-turns those coefficients into Lyndon coordinates.
+This reaches the module that the seeds generate.  The integral Schur algebra
+S_Z(n, p), spanned by basis(n, p), is the image of Kostant's Z-form of
+U(gl_n) on the degree-p integer tensors T_Z, and it is generated by the
+weight idempotents 1_lambda, the block projections, and the divided powers
+E_i^(r), F_i^(r) (Green, Polynomial Representations of GL_n, LNM 830, 1980;
+Doty and Giaquinto, "Presenting Schur algebras", IMRN 2002).  E_i acts on
+L_p as the derivation sending x_{i+1} to x_i and F_i as the one sending x_i
+to x_{i+1}; each moves a block to the block with one letter changed.  As
+E E^(r-1) = r E^(r), E^(r) v is E (E^(r-1) v) / r, exact on integer rows:
+E^(r) maps T_Z into itself, and L_Z is a pure sublattice of T_Z (its Lyndon
+basis is unitriangular).  Every row that grew a lattice, a spanning set of
+it, has all its images queued, so an empty worklist leaves a Z-span closed
+under generators of the algebra: a submodule, which is why a row that its
+lattice already holds needs no images.  Hermite normal form is unique to the
+span, so every order of seeds and worklist ends with the same rows in every
+block, and a saturated degree with the unit vectors: stopping there changes
+nothing that a later degree reads.
 """
 
+from collections import deque
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from operator import add
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NoSolutionFound, ResourceGuardExceeded)
-from .freelie import (LieElement, _lyndon_triangle, decompose, embed,
-                      embed_monomial, is_monomial, lyndon_bracketing,
-                      lyndon_words, monomial_degree, monomial_letters,
-                      monomial_str, normalize, zero_lie)
+from .freelie import (LieElement, decompose, embed, embed_monomial,
+                      is_monomial, lyndon_bracketing, lyndon_words,
+                      monomial_degree, monomial_letters, monomial_str,
+                      normalize, zero_lie)
 from .linalg import IntegerLattice, smith_normal_form, solve_integer
 from .schur import SchurElement, basis_dimension_formula
 from .words import (SparseCombination, TensorElement, rearrangements,
                     sorted_rep, tensor_product)
 
-CLOSURE_BASIS_GUARD = 600  # largest endomorphism basis the engine will sweep
+# the closure's refusal bound on the endomorphism basis size of a degree; it
+# counts nothing the engine builds, and stands in for a bound on real cost
+CLOSURE_BASIS_GUARD = 600
 
 
 class Derivation(SparseCombination):
@@ -386,42 +381,59 @@ def _row_derivation(n, p, words, row):
 
 
 @lru_cache(maxsize=None)
-def _block_action(n, p, u):
-    """The nonzero (row, col, value) entries of each basis element
-    {u: {key: 1}} that has any, by key, sorted by column and then row; col
-    is a position in u's block, row one in sorted_rep(key)'s.  The pair pass
-    over u's block (module docstring) gives the entries of every key at
-    once."""
+def _letter_table(n, p, u, a, b):
+    """The derivation sending x_b to x_a on block u: the block v it writes,
+    u with one b made an a, and its nonzero (row, col, value) entries,
+    sorted by column and then row; col is a position in u's block, row one
+    in v's.  None when u holds no b or v holds no Lyndon word.  One Leibniz
+    pass over embed(P_w) and one decomposition per Lyndon word w of u."""
+    if b not in u:
+        return None
+    k = u.index(b)
+    v = sorted_rep(u[:k] + (a,) + u[k + 1:])
     blocks = _blocks(n, p)
-    zero = [0] * len(blocks[u])
-    embedded = {}  # word x -> its coefficient in embed(P_w), per column w
-    for c, w in enumerate(blocks[u]):
-        for x, e in embed_monomial(lyndon_bracketing(w))._coeffs.items():
-            embedded.setdefault(x, list(zero))[c] = e
-    triangle = _lyndon_triangle(n, p)
-    images = {}
-    for key, image in _pair_images(n, embedded, lyndon_words(n, p)).items():
-        coords = []  # (row, Lyndon coordinate per column), rows increasing
-        for l, r in blocks[sorted_rep(key)].items():
-            v = image.get(l)
-            if v is None or not any(v):
-                continue
-            coords.append((r, v))
-            for m, t in triangle[l]:
-                image[m] = [a - t * b for a, b in zip(image.get(m, zero), v)]
-        entries = tuple((r, c, v[c]) for c in range(len(zero))
-                        for r, v in coords if v[c])
-        if entries:
-            images[key] = entries
-    return images
+    if v not in blocks:
+        return None
+    rows = blocks[v]
+    images = tuple({(a,): 1} if letter == b else {} for letter in range(1, n + 1))
+    entries = []
+    for col, w in enumerate(blocks[u]):
+        coeffs = {}
+        _leibniz(coeffs, images, embed_monomial(lyndon_bracketing(w))._coeffs, 1)
+        entries.extend((rows[l], col, x)
+                       for l, x in decompose(n, _tensor(p, coeffs))._coeffs.items())
+    return v, tuple(entries)
+
+
+def _divided_powers(n, p, u, row, a, b):
+    """(block, row) for r = 1, 2, ...: the images of a block row of block u
+    under the divided powers of the derivation sending x_b to x_a, each the
+    one before it acted on by the derivation and divided by r, until an
+    image is zero or no table exists.  A remainder raises: the division is
+    exact (module docstring)."""
+    for r in count(1):
+        table = _letter_table(n, p, u, a, b)
+        if table is None:
+            return
+        u, entries = table
+        image = _act_on_row(entries, n, len(_blocks(n, p)[u]), row)
+        if not any(image):
+            return
+        if any(x % r for x in image):
+            raise InternalInvariantError(
+                f"divided power {r} of x{b} -> x{a} is not integral on block {u}")
+        row = [x // r for x in image]
+        yield u, row
 
 
 def _pair_images(n, sources, targets):
     """key -> target l -> the sum of the vectors of the sources x (word ->
     vector, all x rearrangements of one sorted word u) that {u: {key: 1}}
-    sends onto l, in one pass over the pairs (module docstring).  Sorted,
-    the letter pairs (x[t], l[t]) have the key as their second halves.  A
-    pair (a, b) is coded as a * base + b, so b = code % base."""
+    sends onto l, in one pass over the pairs (x, l).  That element sends x
+    to orbit_sum(u, key) moved by the place permutation that sorts u onto
+    x, so exactly one key puts l in the image of x: sorted, the letter pairs
+    (x[t], l[t]) have it as their second halves.  A pair (a, b) is coded as
+    a * base + b, so b = code % base."""
     base = n + 1
     by_code = {}
     for x, ex in sources.items():
@@ -472,25 +484,28 @@ def schur_closure_rank(n, generators, max_degree):
     """Degree-by-degree reachability report for the closure of degree-2
     generators under derivation brackets and the endomorphism action.
 
-    Each degree keeps one lattice per multidegree block.  Its seeds, the
-    generators (degree 2) or the brackets of lower degrees, are made one at
-    a time.  Each seed row of block u goes into u's lattice, and unless it
-    was there already, every other basis endomorphism {u: {key: 1}} acts on
-    it once, into the lattice of sorted_rep(key) unless that lattice is
-    Z^dim.  The degree makes no further seed once every block is Z^dim (one
-    sweep per seed, see the module docstring).
+    Each degree keeps one lattice per multidegree block and makes its seeds
+    one at a time, the generators (degree 2) or the brackets of lower
+    degrees.  A worklist takes each seed's block rows into the lattices, with
+    the images under E_i^(r), F_i^(r) of every row that grows one, until it
+    is empty; no further seed is made once every block is Z^dim (module
+    docstring).
 
     Returns one dict per degree 2..max_degree with the reached rank over the
     rationals, the full rank n * witt_dimension(n, p), and the elementary
     divisors of the reached integer lattice (all 1 means the reached span is
     saturated).  Raises ResourceGuardExceeded, carrying the partial report,
     when the endomorphism basis at some degree is unreasonably large.
+
+    >>> [e["saturated"] for e in schur_closure_rank(2, gamma_generators(2), 4)]
+    [True, True, True]
     """
     for D in generators:
         if D.n != n:
             raise InvalidArgument(f"rank-{D.n} generator in a rank-{n} closure")
         if D.degree != 2:
             raise InvalidArgument("closure generators must have degree 2")
+    letter_pairs = [(a, b) for i in range(1, n) for a, b in ((i, i + 1), (i + 1, i))]
     report = []
     reached = {}  # degree -> the embedded images of its block lattices' rows
     for p in range(2, max_degree + 1):
@@ -501,19 +516,18 @@ def schur_closure_rank(n, generators, max_degree):
         blocks = _blocks(n, p)
         lattices = {u: IntegerLattice(n * len(block)) for u, block in blocks.items()}
         open_blocks = set(lattices)  # the blocks whose lattice is not Z^dim yet
+        worklist = deque()
         for D in _seeds(n, p, generators, reached):
-            for u, row in _block_rows(n, p, D).items():
+            worklist.extend(_block_rows(n, p, D).items())
+            while worklist:
+                u, row = worklist.popleft()
                 if u not in open_blocks or not lattices[u].add(row):
-                    continue  # in the swept span already, which is a submodule
-                for key, entries in _block_action(n, p, u).items():
-                    v = sorted_rep(key)
-                    if key != u and v in open_blocks:  # key u is the identity
-                        target = lattices[v]
-                        image = _act_on_row(entries, n, target.dim // n, row)
-                        if target.add(image) and target.full_unimodular():
-                            open_blocks.discard(v)
+                    continue  # held already, so its images are queued already
                 if lattices[u].full_unimodular():
                     open_blocks.discard(u)
+                for a, b in letter_pairs:
+                    worklist.extend(image for image in _divided_powers(n, p, u, row, a, b)
+                                    if image[0] in open_blocks)
             if not open_blocks:
                 break
         rank = sum(lattice.rank() for lattice in lattices.values())

@@ -223,26 +223,6 @@ def decompose(n, t):
     return LieElement._trusted(n, t.degree, coords)
 
 
-@lru_cache(maxsize=None)
-def _lyndon_triangle(n, p):
-    """Per Lyndon word l of length p over 1..n, the (word, coefficient)
-    pairs of the other Lyndon words in embed(P_l), P_l its standard
-    bracketing.
-
-    embed(P_l) is l plus larger words, so every word listed is larger than
-    l: the coefficients of a Lie element at the Lyndon words are a
-    unitriangular transform of its Lyndon coordinates, undone by
-    back-substitution in increasing word order.
-    """
-    words = lyndon_words(n, p)
-    lyndon = set(words)
-    out = {}
-    for l in words:
-        terms = embed_monomial(lyndon_bracketing(l))._coeffs.items()
-        out[l] = tuple((v, c) for v, c in terms if v != l and v in lyndon)
-    return out
-
-
 def normalize(n, terms):
     """Lyndon coordinates of a monomial or of a list of (coeff, monomial)."""
     if is_monomial(terms):

@@ -315,14 +315,11 @@ def run_generation(n=3, max_degree=4, seed=0, generators="mtilde"):
         gens = gamma_generators(n)
     else:
         raise SchurlieError(f"unknown generator set {generators!r}")
-    report = schur_closure_rank(n, gens, max_degree)
-    instances = []
-    for entry in report:
-        instances.append({
-            "key": f"degree{entry['degree']}",
-            **entry,
-            "pass": entry["saturated"],
-        })
+    # a degree with no derivation to reach (every degree at n = 1) checks
+    # nothing, so it is no instance
+    instances = [{"key": f"degree{entry['degree']}", **entry, "pass": entry["saturated"]}
+                 for entry in schur_closure_rank(n, gens, max_degree)
+                 if entry["full_rank"]]
     return make_report("generation",
                        {"n": n, "max_degree": max_degree, "seed": seed,
                         "generators": generators},

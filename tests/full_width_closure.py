@@ -5,7 +5,9 @@ It keeps one lattice over all n * W coordinates of a degree (block k of a
 row holds the Lyndon coordinates of the image of x_{k+1}), brackets its
 Hermite rows, and sweeps every seed through the action entries of every
 basis endomorphism, passing over a seed with no nonzero entry in an entry
-list's columns.
+list's columns.  As it acts by the whole basis, not by the divided powers
+E_i^(r), F_i^(r) that the engine acts by, it does not rest on their
+generating the Schur algebra.
 """
 
 from functools import lru_cache
@@ -13,8 +15,7 @@ from itertools import compress
 
 from schurlie.derivations import (_bracket, _embedded_images, _pair_images,
                                   _row_derivation)
-from schurlie.freelie import (_lyndon_triangle, embed_monomial,
-                              lyndon_bracketing, lyndon_words)
+from schurlie.freelie import embed_monomial, lyndon_bracketing, lyndon_words
 from schurlie.linalg import IntegerLattice
 from schurlie.schur import orbit_keys
 from schurlie.words import sorted_rep, sorted_words
@@ -28,6 +29,26 @@ def _bracket_row(n, degree, index, a, b):
     for (k, w), c in _bracket(n, degree, a, b).items():
         row[(k - 1) * W + index[w]] = c
     return row
+
+
+@lru_cache(maxsize=None)
+def _lyndon_triangle(n, p):
+    """Per Lyndon word l of length p over 1..n, the (word, coefficient)
+    pairs of the other Lyndon words in embed(P_l), P_l its standard
+    bracketing.
+
+    embed(P_l) is l plus larger words, so every word listed is larger than
+    l: the coefficients of a Lie element at the Lyndon words are a
+    unitriangular transform of its Lyndon coordinates, undone by
+    back-substitution in increasing word order.
+    """
+    words = lyndon_words(n, p)
+    lyndon = set(words)
+    out = {}
+    for l in words:
+        terms = embed_monomial(lyndon_bracketing(l))._coeffs.items()
+        out[l] = tuple((v, c) for v, c in terms if v != l and v in lyndon)
+    return out
 
 
 @lru_cache(maxsize=None)

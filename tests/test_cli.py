@@ -248,6 +248,18 @@ def test_cli_unknown_subcommand_exits_two():
     assert info.value.code == 2
 
 
+def test_cli_main_calls_do_not_share_flags(capsys):
+    # main builds its parser once per process; the flags of one call must
+    # not become the defaults of the next
+    assert main(["verify", "generation", "--n", "2", "--max-degree", "3",
+                 "--generators", "gamma", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"] == {
+        "n": 2, "max_degree": 3, "seed": 0, "generators": "gamma"}
+    assert main(["verify", "generation", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"] == {
+        "n": 3, "max_degree": 4, "seed": 0, "generators": "mtilde"}
+
+
 @pytest.mark.parametrize("argv", [
     ["star", "--left", "{}", "--right", "{}"],
     ["transfer", "--parts", "1", "--factors", "{}"],
@@ -331,6 +343,10 @@ def test_cli_verify_rejects_flag_suite_does_not_take(capsys, argv, flag):
      "equivariance check limited to degree 8"),
     (["verify", "dimension", "--n", "3", "--max-degree", "9"],
      "brute-force oracle refused for n=3, q=9"),
+    # rank 1 has no derivation of degree >= 2 to reach
+    (["verify", "generation", "--n", "1"],
+     "suite generation has no instance to check at "
+     "n=1, max_degree=4, seed=0, generators=mtilde"),
 ])
 def test_cli_rejects_numeric_flag_out_of_range(capsys, argv, message):
     assert main(argv) == 2
@@ -370,6 +386,9 @@ GENERATION_PINS = {
         "5bbc87966f50d49d48fec6db271b9bfbd692cea29377d71c837b6cdbed90250c",
     "generation --n 2 --max-degree 9":
         "98428bbceb8a0ec84e262cbbe8ea0f31480a516a192c726e62178f3ae7034b49",
+    # blocks with up to nine copies of x_2: divided powers up to r = 8
+    "generation --n 2 --max-degree 10":
+        "c6ed61ce09f90133723c0b82cb314c324e2c95db5716a2d4675541134cf1f3bb",
 }
 
 

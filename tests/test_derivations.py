@@ -7,22 +7,23 @@ from hypothesis import given, settings, strategies as st
 from full_width_closure import full_width_lattices
 from rational_linalg import rank
 from schurlie import derivations
-from schurlie.derivations import (Derivation, _block_action, _block_rows,
-                                  _blocks, _merged_divisors, apply_derivation,
+from schurlie.derivations import (Derivation, _block_rows, _blocks,
+                                  _divided_powers, _merged_divisors,
+                                  apply_derivation,
                                   commutator_derivation,
                                   conjugating_derivation, der_bracket,
                                   find_annihilating_schur, gamma_generators,
                                   generator_derivation, mtilde_generators,
                                   schur_act, schur_closure_rank)
-from schurlie.errors import (DimensionMismatch, InvalidArgument,
-                             ResourceGuardExceeded)
+from schurlie.errors import (DimensionMismatch, InternalInvariantError,
+                             InvalidArgument, ResourceGuardExceeded)
 from schurlie.freelie import (LieElement, embed, generator, lie_bracket,
                               lyndon_basis, lyndon_bracketing, lyndon_words,
                               normalize, witt_dimension, zero_lie)
 from schurlie.linalg import IntegerLattice
 from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             basis_dimension_formula, letter_substitution,
-                            orbit_keys)
+                            orbit_keys, schur_is_equivariant)
 from schurlie.words import (multidegree, rearrangements, sorted_rep,
                             sorted_words, stabilizer_orbit_key, words_of)
 
@@ -587,26 +588,62 @@ def test_row_bracket_matches_der_bracket(n, p1, p2):
     assert nonzero
 
 
+def _divided_power(n, p, a, b, r):
+    """The Schur element of the r-th divided power of the derivation sending
+    x_b to x_a, from its orbit data: on a sorted word u with at least r
+    letters b, the sum over the ways to make r of them an a, which is the
+    orbit sum of the key that makes the first r of them an a."""
+    rows = {}
+    for u in sorted_words(n, p):
+        if u.count(b) >= r:
+            k = u.index(b)
+            made = u[:k] + (a,) * r + u[k + r:]
+            rows[u] = {stabilizer_orbit_key(u, made): 1}
+    return SchurElement(n, p, rows)
+
+
 def test_action_matrices_are_the_nonzero_dense_entries():
-    # apply_to_lie on every column of every basis element, not only its own
-    # block, is the dense oracle; the pair pass must give the same entries in
-    # block positions, column by column and row by row within an element,
-    # for every key of every block, with the empty ones left out
+    # apply_to_lie of E_i^(r) and F_i^(r), built from their orbit data, is
+    # the dense oracle; the chain through the letter tables must give the
+    # same nonzero images, block by block and slot by slot, for every r
     for n, p in [(2, 5), (3, 3), (3, 4), (2, 8), (4, 3)]:
-        words = lyndon_words(n, p)
         blocks = _blocks(n, p)
-        dense = {u: {} for u in blocks}
-        for f in basis(n, p):
-            [((u, key), _)] = f.items()
-            entries = []
-            for w in words:
-                for v, x in apply_to_lie(f, LieElement(n, p, {w: 1})).items():
-                    assert sorted_rep(w) == u and sorted_rep(v) == sorted_rep(key)
-                    entries.append((blocks[sorted_rep(key)][v], blocks[u][w], x))
-            if entries:
-                dense[u][key] = tuple(entries)
-        for u in blocks:
-            assert _block_action(n, p, u) == dense[u]
+        for a, b in [(i, i + 1) for i in range(1, n)] + [(i + 1, i) for i in range(1, n)]:
+            powers = [_divided_power(n, p, a, b, r) for r in range(1, p + 1)]
+            assert all(schur_is_equivariant(f) for f in powers)
+            for u, block in blocks.items():
+                words = tuple(block)
+                for c, w in enumerate(words):
+                    row = [0] * (n * len(words))
+                    for k in range(n):
+                        row[k * len(words) + c] = k + 1  # slot k holds (k + 1) P_w
+                    got = [(v, derivation_from_vector(n, p, image, tuple(blocks[v])))
+                           for v, image in _divided_powers(n, p, u, row, a, b)]
+                    expected = []
+                    for f in powers:
+                        image = apply_to_lie(f, LieElement(n, p, {w: 1}))
+                        if image.is_zero():
+                            break
+                        [v] = {sorted_rep(l) for l, _ in image.items()}
+                        expected.append((v, Derivation(
+                            n, p, [image.scale(k) for k in range(1, n + 1)])))
+                    assert got == expected
+                    # once an image is zero, every later one is
+                    assert all(apply_to_lie(f, LieElement(n, p, {w: 1})).is_zero()
+                               for f in powers[len(expected):])
+
+
+def test_divided_power_chain_raises_on_an_inexact_division(monkeypatch):
+    # a table patched to an odd entry that keeps the row in its block: the
+    # second image is the row itself, which cannot be halved; the chain must
+    # raise, not truncate
+    monkeypatch.setattr(derivations, "_letter_table",
+                        lambda n, p, u, a, b: (u, ((0, 0, 1),)))
+    u, = _blocks(2, 4).keys() - {(1, 1, 1, 2), (1, 1, 2, 2)}
+    chain = _divided_powers(2, 4, u, [1, 0], 1, 2)
+    assert next(chain) == (u, [1, 0])
+    with pytest.raises(InternalInvariantError):
+        next(chain)
 
 
 def _fixed_point_closure(n, generators, max_degree):

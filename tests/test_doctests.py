@@ -1,5 +1,6 @@
 import doctest
 
+import schurlie.derivations
 import schurlie.freelie
 import schurlie.linalg
 import schurlie.schur
@@ -8,6 +9,11 @@ import schurlie.words
 
 def test_words_doctests():
     failures, tried = doctest.testmod(schurlie.words)
+    assert tried and not failures
+
+
+def test_derivations_doctests():
+    failures, tried = doctest.testmod(schurlie.derivations)
     assert tried and not failures
 
 
