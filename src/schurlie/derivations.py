@@ -51,10 +51,22 @@ E^(r) maps T_Z into itself, and L_Z is a pure sublattice of T_Z (its Lyndon
 basis is unitriangular).  Every row that grew a lattice, a spanning set of
 it, has all its images queued, so an empty worklist leaves a Z-span closed
 under generators of the algebra: a submodule, which is why a row that its
-lattice already holds needs no images.  Hermite normal form is unique to the
-span, so every order of seeds and worklist ends with the same rows in every
-block, and a saturated degree with the unit vectors: stopping there changes
-nothing that a later degree reads.
+lattice already holds needs no images, and a row already added to its
+lattice is passed over before the lattice sees it.  Hermite normal form is
+unique to the span, so every order of seeds and worklist ends with the same
+rows in every block, and a saturated degree with the unit vectors: stopping
+there changes nothing that a later degree reads.
+
+The table of E_i or F_i on a block is read off coefficients at Lyndon
+words, with no Leibniz pass and no decomposition.  embed(P_l), P_l the
+standard bracketing of a Lyndon word l, is l plus larger words (Reutenauer,
+Free Lie Algebras, 1993, Thm 5.1).  So the coefficients of a Lie element at
+the Lyndon words of a block are its Lyndon coordinates times the block's
+unitriangular integer matrix, and the coordinates follow from those
+coefficients alone by back-substitution in increasing word order.  The
+derivation sending x_b to x_a takes a word to the sum of its copies with
+one b made an a, so its image of embed(P_w) has at a word l the sum of
+embed(P_w) at the copies of l with one a made a b.
 """
 
 from collections import deque
@@ -381,12 +393,39 @@ def _row_derivation(n, p, words, row):
 
 
 @lru_cache(maxsize=None)
+def _block_triangle(n, p, u):
+    """Per Lyndon word l of block u, in increasing order, the (position,
+    value) pairs of the smaller block words l' with embed(P_l')[l] = value
+    nonzero, P_l' the standard bracketing of l'.  Raises unless embed(P_l)[l]
+    is 1 and no larger block word l' has embed(P_l')[l] nonzero: the Lyndon
+    matrix of the block is unitriangular (module docstring).
+
+    >>> _block_triangle(2, 4, (1, 1, 2, 2))
+    ((),)
+    >>> _block_triangle(2, 5, (1, 1, 1, 2, 2))
+    ((), ((0, -2),))
+    """
+    words = tuple(_blocks(n, p)[u])
+    embedded = [embed_monomial(lyndon_bracketing(w))._coeffs for w in words]
+    triangle = []
+    for i, l in enumerate(words):
+        column = [image.get(l, 0) for image in embedded]
+        if column[i] != 1 or any(column[i + 1:]):
+            raise InternalInvariantError(
+                f"the Lyndon matrix of block {u} is not unitriangular at {l}")
+        triangle.append(tuple((j, x) for j, x in enumerate(column[:i]) if x))
+    return tuple(triangle)
+
+
+@lru_cache(maxsize=None)
 def _letter_table(n, p, u, a, b):
     """The derivation sending x_b to x_a on block u: the block v it writes,
     u with one b made an a, and its nonzero (row, col, value) entries,
     sorted by column and then row; col is a position in u's block, row one
-    in v's.  None when u holds no b or v holds no Lyndon word.  One Leibniz
-    pass over embed(P_w) and one decomposition per Lyndon word w of u."""
+    in v's.  None when u holds no b or v holds no Lyndon word.  The image of
+    embed(P_w), w the column's word, has at a word l of v the sum of
+    embed(P_w) at l with one a made a b; its Lyndon coordinates follow by
+    back-substitution through v's triangle."""
     if b not in u:
         return None
     k = u.index(b)
@@ -394,14 +433,17 @@ def _letter_table(n, p, u, a, b):
     blocks = _blocks(n, p)
     if v not in blocks:
         return None
-    rows = blocks[v]
-    images = tuple({(a,): 1} if letter == b else {} for letter in range(1, n + 1))
+    copies = [[l[:t] + (b,) + l[t + 1:] for t, x in enumerate(l) if x == a]
+              for l in blocks[v]]
+    triangle = _block_triangle(n, p, v)
     entries = []
     for col, w in enumerate(blocks[u]):
-        coeffs = {}
-        _leibniz(coeffs, images, embed_monomial(lyndon_bracketing(w))._coeffs, 1)
-        entries.extend((rows[l], col, x)
-                       for l, x in decompose(n, _tensor(p, coeffs))._coeffs.items())
+        embedded = embed_monomial(lyndon_bracketing(w))._coeffs
+        coords = []
+        for words, pairs in zip(copies, triangle):
+            coords.append(sum(embedded.get(x, 0) for x in words)
+                          - sum(m * coords[j] for j, m in pairs))
+        entries.extend((row, col, c) for row, c in enumerate(coords) if c)
     return v, tuple(entries)
 
 
@@ -516,12 +558,17 @@ def schur_closure_rank(n, generators, max_degree):
         blocks = _blocks(n, p)
         lattices = {u: IntegerLattice(n * len(block)) for u, block in blocks.items()}
         open_blocks = set(lattices)  # the blocks whose lattice is not Z^dim yet
+        pushed = {u: set() for u in lattices}  # the rows added to each lattice
         worklist = deque()
         for D in _seeds(n, p, generators, reached):
             worklist.extend(_block_rows(n, p, D).items())
             while worklist:
                 u, row = worklist.popleft()
-                if u not in open_blocks or not lattices[u].add(row):
+                key = tuple(row)
+                if u not in open_blocks or key in pushed[u]:
+                    continue  # a repeat's images are queued already
+                pushed[u].add(key)
+                if not lattices[u].add(row):
                     continue  # held already, so its images are queued already
                 if lattices[u].full_unimodular():
                     open_blocks.discard(u)

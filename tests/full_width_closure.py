@@ -1,5 +1,6 @@
 """The closure engine that schurlie.derivations.schur_closure_rank's block
-lattices replaced, kept as an oracle for them, used by the tests only.
+lattices replaced, kept as an oracle for them, used by the tests only, and
+the letter tables as the engine first built them.
 
 It keeps one lattice over all n * W coordinates of a degree (block k of a
 row holds the Lyndon coordinates of the image of x_{k+1}), brackets its
@@ -13,9 +14,11 @@ generating the Schur algebra.
 from functools import lru_cache
 from itertools import compress
 
-from schurlie.derivations import (_bracket, _embedded_images, _pair_images,
-                                  _row_derivation)
-from schurlie.freelie import embed_monomial, lyndon_bracketing, lyndon_words
+from schurlie.derivations import (_blocks, _bracket, _embedded_images,
+                                  _leibniz, _pair_images, _row_derivation,
+                                  _tensor)
+from schurlie.freelie import (decompose, embed_monomial, lyndon_bracketing,
+                              lyndon_words)
 from schurlie.linalg import IntegerLattice
 from schurlie.schur import orbit_keys
 from schurlie.words import sorted_rep, sorted_words
@@ -29,6 +32,28 @@ def _bracket_row(n, degree, index, a, b):
     for (k, w), c in _bracket(n, degree, a, b).items():
         row[(k - 1) * W + index[w]] = c
     return row
+
+
+def leibniz_letter_table(n, p, u, a, b):
+    """schurlie.derivations._letter_table as the engine first built it, an
+    oracle for the back-substitution: one Leibniz pass over embed(P_w) and
+    one decomposition per Lyndon word w of block u."""
+    if b not in u:
+        return None
+    k = u.index(b)
+    v = sorted_rep(u[:k] + (a,) + u[k + 1:])
+    blocks = _blocks(n, p)
+    if v not in blocks:
+        return None
+    rows = blocks[v]
+    images = tuple({(a,): 1} if letter == b else {} for letter in range(1, n + 1))
+    entries = []
+    for col, w in enumerate(blocks[u]):
+        coeffs = {}
+        _leibniz(coeffs, images, embed_monomial(lyndon_bracketing(w))._coeffs, 1)
+        entries.extend((rows[l], col, x)
+                       for l, x in decompose(n, _tensor(p, coeffs))._coeffs.items())
+    return v, tuple(entries)
 
 
 @lru_cache(maxsize=None)

@@ -389,6 +389,11 @@ GENERATION_PINS = {
     # blocks with up to nine copies of x_2: divided powers up to r = 8
     "generation --n 2 --max-degree 10":
         "c6ed61ce09f90133723c0b82cb314c324e2c95db5716a2d4675541134cf1f3bb",
+    # blocks up to 42 words wide, divided powers up to r = 9; pinned to the
+    # output of the engine whose tables took a Leibniz pass and a
+    # decomposition per Lyndon word
+    "generation --n 2 --max-degree 11":
+        "4d131075bec1135945c642fbc3805e06a641926f38f81723c081c5759f17e816",
 }
 
 

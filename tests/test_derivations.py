@@ -4,7 +4,7 @@ from itertools import cycle, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from full_width_closure import full_width_lattices
+from full_width_closure import full_width_lattices, leibniz_letter_table
 from rational_linalg import rank
 from schurlie import derivations
 from schurlie.derivations import (Derivation, _block_rows, _blocks,
@@ -24,8 +24,9 @@ from schurlie.linalg import IntegerLattice
 from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             basis_dimension_formula, letter_substitution,
                             orbit_keys, schur_is_equivariant)
-from schurlie.words import (multidegree, rearrangements, sorted_rep,
-                            sorted_words, stabilizer_orbit_key, words_of)
+from schurlie.words import (TensorElement, multidegree, rearrangements,
+                            sorted_rep, sorted_words, stabilizer_orbit_key,
+                            words_of)
 
 
 def _random_lie(rng, n, p, terms=2):
@@ -646,6 +647,46 @@ def test_divided_power_chain_raises_on_an_inexact_division(monkeypatch):
         next(chain)
 
 
+
+@pytest.mark.parametrize("n, p", [(2, 3), (2, 5), (2, 7), (2, 9), (3, 3), (3, 4),
+                                  (3, 5), (4, 3), (4, 4), (5, 3)])
+def test_letter_tables_match_the_leibniz_oracle(n, p):
+    # the back-substitution through each block's Lyndon triangle against one
+    # Leibniz pass and one decomposition per column, entry order included
+    tables = 0
+    for u in _blocks(n, p):
+        for a, b in permutations(range(1, n + 1), 2):
+            table = derivations._letter_table(n, p, u, a, b)
+            assert table == leibniz_letter_table(n, p, u, a, b)
+            tables += table is not None
+    assert tables
+
+
+def _doubled(embed_monomial):
+    return lambda tree: embed_monomial(tree).scale(2)
+
+
+def _with_a_smaller_word(embed_monomial):
+    # embed(P_11212) made to hold 11122, a smaller word of its block
+    def patched(tree):
+        t = embed_monomial(tree)
+        if tree == lyndon_bracketing((1, 1, 2, 1, 2)):
+            t = t + TensorElement(5, {(1, 1, 1, 2, 2): 1})
+        return t
+    return patched
+
+
+@pytest.mark.parametrize("breaking", [_doubled, _with_a_smaller_word])
+def test_letter_table_raises_on_a_broken_lyndon_triangle(monkeypatch, breaking):
+    # a triangle whose diagonal is not 1, or with an entry above it, must
+    # raise, not feed a wrong table to the chain
+    monkeypatch.setattr(derivations, "embed_monomial",
+                        breaking(derivations.embed_monomial))
+    derivations._block_triangle.cache_clear()
+    derivations._letter_table.cache_clear()
+    with pytest.raises(InternalInvariantError):
+        derivations._letter_table(2, 5, (1, 1, 2, 2, 2), 1, 2)
+
 def _fixed_point_closure(n, generators, max_degree):
     """The closure as the definition reads: bracket every ordered pair of
     lower-degree basis derivations, then act by every element of the public
@@ -771,6 +812,27 @@ def test_closure_stops_drawing_seeds_only_at_z_dim(monkeypatch, n, seeds, max_de
         assert not any(e["saturated"] for e in report)
         assert got == full
 
+
+@pytest.mark.parametrize("n, max_degree", [(3, 4), (2, 7)])
+def test_closure_adds_no_row_twice_to_a_block_lattice(monkeypatch, n, max_degree):
+    # a row already added to a block's lattice is passed over before add
+    added = []  # per block lattice, the rows it received
+
+    class Recording(IntegerLattice):
+        def __init__(self, dim):
+            super().__init__(dim)
+            self.received = []
+            added.append(self.received)
+
+        def add(self, row):
+            self.received.append(tuple(row))
+            return super().add(row)
+
+    monkeypatch.setattr(derivations, "IntegerLattice", Recording)
+    report = schur_closure_rank(n, mtilde_generators(n), max_degree)
+    assert all(e["saturated"] and e["reached_rank"] == e["full_rank"] for e in report)
+    assert sum(map(len, added)) > len(added)
+    assert all(len(set(rows)) == len(rows) for rows in added)
 
 @pytest.mark.parametrize("n, seeds, max_degree", [
     (2, _mixed_mtilde, 7), (3, _mixed_mtilde, 4), (3, mtilde_generators, 5)])
