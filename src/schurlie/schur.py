@@ -9,7 +9,11 @@ f(w) = f(u).sigma, independently of the chosen sigma.
 
 An element indexes its pairs by sorted word once, on the first column it
 builds, and caches every column it builds, so f(u) costs one pass over the
-keys of u.
+keys of u.  The stabilizer orbit of each pair (u, key) is enumerated once
+per process (_orbit, cached): a column sets each word of each key's orbit
+to that key's coefficient, with no sum, as the orbits of distinct keys are
+disjoint; and orbit_data_of_column checks that a column holds whole orbits
+by counting each key's words against its orbit's length.
 
 Word-by-word column maps are built only for equivariance checks, over the
 support of an element; the brute-force dimension oracle alone scans all n^q
@@ -21,7 +25,7 @@ own column.
 
 import math
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from operator import itemgetter
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
@@ -38,8 +42,22 @@ SCHUR_BASIS_GUARD = 100_000  # largest basis built, about 2 s of output
 
 def orbit_sum(u, key):
     """Sum of the stabilizer orbit of key under the stabilizer of sorted u."""
+    return TensorElement._trusted(len(u), dict.fromkeys(_orbit(tuple(u), tuple(key)), 1))
+
+
+@lru_cache(maxsize=None)
+def _orbit(u, key):
+    """The words of the stabilizer orbit of key under sorted u, each once: the
+    rearrangements of key inside each run of equal letters of u, the runs'
+    rearrangements taken lexicographically in product order.
+
+    >>> _orbit((1, 1, 2), (1, 2, 3))
+    ((1, 2, 3), (2, 1, 3))
+    >>> _orbit((1, 2), (2, 1))
+    ((2, 1),)
+    """
     runs = [rearrangements(key[i:j]) for i, j in _equal_letter_runs(u)]
-    return TensorElement._trusted(len(u), {sum(pieces, ()): 1 for pieces in product(*runs)})
+    return tuple(sum(pieces, ()) for pieces in product(*runs))
 
 
 @lru_cache(maxsize=None)
@@ -132,9 +150,12 @@ class SchurElement(SparseCombination):
                 rows = self._rows = {}
                 for (v, key), c in self._coeffs.items():
                     rows.setdefault(v, []).append((key, c))
-            col = _linear_combination(self.q, ((c, orbit_sum(u, key))
-                                               for key, c in rows.get(u, ())))
-            self._columns[u] = col
+            # orbits of distinct keys are disjoint and no stored value is 0
+            coeffs = {}
+            for key, c in rows.get(u, ()):
+                for w in _orbit(u, key):
+                    coeffs[w] = c
+            col = self._columns[u] = TensorElement._trusted(self.q, coeffs)
         return col
 
     def apply_word(self, w):
@@ -228,8 +249,10 @@ def orbit_data_of_column(u, col):
     """Read orbit coefficients off a tensor that must be stabilizer-invariant.
 
     The key of a word w is stabilizer_orbit_key(u, w): w with its letters
-    sorted inside each run of equal letters of u, the runs found once."""
-    runs = [slice(i, j) for i, j in _equal_letter_runs(u) if j - i > 1]
+    sorted inside each run of two or more equal letters of u (_long_runs,
+    cached per u).  A key's value must be the same on each of its words, and
+    the words must number len(_orbit(u, key)), the whole orbit."""
+    runs = _long_runs(u)
     row = {}
     count = {}
     for w, c in col._coeffs.items():
@@ -243,19 +266,17 @@ def orbit_data_of_column(u, col):
             raise InternalInvariantError(
                 f"column at {u!r} is not constant on stabilizer orbits")
         count[key] = count.get(key, 0) + 1
-    # the stabilizer orbit of key holds every rearrangement of key inside
-    # each run of u
     for key, k in count.items():
-        if math.prod(_arrangement_count(key[run]) for run in runs) != k:
+        if len(_orbit(u, key)) != k:
             raise InternalInvariantError(
                 f"column at {u!r} misses part of the orbit of {key!r}")
     return row
 
 
-def _arrangement_count(w):
-    """The number of distinct rearrangements of the sorted word w."""
-    return math.factorial(len(w)) // math.prod(
-        math.factorial(len(list(letters))) for _, letters in groupby(w))
+@lru_cache(maxsize=None)
+def _long_runs(u):
+    """The slices of the runs of two or more equal letters of sorted u."""
+    return tuple(slice(i, j) for i, j in _equal_letter_runs(u) if j - i > 1)
 
 
 @lru_cache(maxsize=None)

@@ -11,14 +11,15 @@ well-definedness tests.  A transversal given by the caller is checked to be
 one.
 
 transfer evaluates the sum only on the sorted words u that hold the letters
-of one support word per factor, in one loop over the transversal.  The
-canonical transversal is built once per composition and cached.  Each sigma
-gets two itemgetters per call: one reads u . sigma^{-1} straight off u, the
-other places a concatenated image word by sigma.  Each factor's image of a
-block word is computed once per call, and the concatenated product of the
-blocks of one word u . sigma^{-1} once per u: every sigma that reads the
-same blocks off u reuses it, and only its placement is redone.  The placed
-terms go into one coefficient dict per u.
+of one support word per factor, in one loop over the transversal.  Each
+sigma has two itemgetters: one reads u . sigma^{-1} straight off u, the
+other places a concatenated image word by sigma.  For the canonical
+transversal they are built once per composition and cached; a transversal
+given by the caller gets its own per call.  Each factor's image of a block
+word is computed once per call, and the concatenated product of the blocks
+of one word u . sigma^{-1} once per u: every sigma that reads the same
+blocks off u reuses it, and only its placement is redone.  The placed terms
+go into one coefficient dict per u.
 """
 
 from functools import lru_cache
@@ -119,7 +120,7 @@ def transfer(parts, fs, transversal=None):
     n = ranks.pop()
     d = sum(parts)
     if transversal is None:
-        transversal = _canonical_transversal(parts)
+        moves = _canonical_moves(parts)
     else:
         transversal = [tuple(sigma) for sigma in transversal]
         for sigma in transversal:
@@ -127,14 +128,12 @@ def transfer(parts, fs, transversal=None):
                 raise DimensionMismatch(f"permutation {sigma!r} in a degree-{d} transversal")
         if not is_left_transversal(transversal, parts):
             raise InvalidArgument(f"not a left transversal of the Young subgroup of {parts}")
+        moves = _moves(transversal)
     splits = []
     start = 0
     for a in parts:
         splits.append((start, start + a))
         start += a
-    # per sigma, the getters of u . sigma^{-1} and of w . sigma
-    moves = [(_getter([s - 1 for s in sigma]), _getter([t - 1 for t in perm_inverse(sigma)]))
-             for sigma in transversal]
     # per factor, its image of each block word met so far, as (word, coeff) pairs
     images = [{} for _ in fs]
 
@@ -167,6 +166,19 @@ def transfer(parts, fs, transversal=None):
         for key, c in orbit_data_of_column(u, column).items():
             pairs[u, key] = c
     return SchurElement._trusted(n, d, pairs)
+
+
+@lru_cache(maxsize=None)
+def _canonical_moves(parts):
+    """_moves of the canonical transversal of checked parts."""
+    return _moves(_canonical_transversal(parts))
+
+
+def _moves(transversal):
+    """Per sigma, the getters of u . sigma^{-1} and of w . sigma."""
+    return tuple((_getter([s - 1 for s in sigma]),
+                  _getter([t - 1 for t in perm_inverse(sigma)]))
+                 for sigma in transversal)
 
 
 def _getter(indices):

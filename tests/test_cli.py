@@ -434,6 +434,12 @@ LAWS_PINS = {
         "d750b5cd2c93be7228845ae7e503c6d941543424941facff0430cb20c84e5635",
     "equivariance --n 3 --max-degree 5":
         "30eb2e0d6f2712d379b9162519a29847ff0f6d9c809904ab3e3292a0d05a4ab0",
+    # the first rank-4 products, and the operad at degree 6; pinned to the
+    # kernel that rebuilt each stabilizer orbit per column
+    "star-laws --n 4 --max-degree 5":
+        "5775cb4ceab85c746c05a5cceee19a6ddfca59b0a998bfa69c914b1f5937300e",
+    "operad --n 3 --max-degree 6":
+        "7b8d97843a52351fb12d560a9e99a8475e06d205c9c2cf039b80e5f2ce56e9e5",
 }
 
 
@@ -442,6 +448,19 @@ def test_cli_verify_laws_pin(capsys, command):
     assert main(["verify", *command.split(), "--seed", "0", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LAWS_PINS[command]
+
+
+# the dimension oracle's suite reads orbit data off columns through
+# decompose_in_basis; pinned to the read-off that counted orbits by factorials
+DIMENSION_PIN = ("dimension --n 3 --max-degree 5",
+                 "256125e41578ba74dda94f58f9cbd7509b1b66cda06cbb1d03a670e379453964")
+
+
+def test_cli_verify_dimension_pin(capsys):
+    command, digest = DIMENSION_PIN
+    assert main(["verify", *command.split(), "--seed", "0", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # the free-group suites at depth 5 and rank 5, beyond the benchmark's pins at

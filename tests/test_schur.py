@@ -1,6 +1,7 @@
 import json
+import math
 import random
-from itertools import permutations
+from itertools import accumulate, groupby, permutations
 
 import pytest
 
@@ -15,7 +16,7 @@ from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             equivariant_basis_bruteforce, is_equivariant,
                             letter_substitution, orbit_keys,
                             orbit_data_of_column, orbit_sum,
-                            schur_is_equivariant)
+                            schur_is_equivariant, _orbit)
 from schurlie.words import (TensorElement, act, perm_from_cycles, perm_inverse,
                             sorted_words, stabilizer_orbit_key, words_of)
 
@@ -451,17 +452,23 @@ def test_orbit_data_rejects_non_invariant_column():
             orbit_data_of_column(u, full + TensorElement.from_word(across, 5))
 
 
+def _orbit_by_scan(n, u, key):
+    """The stabilizer orbit of key under u, by a scan of every word."""
+    return [w for w in words_of(n, len(u)) if stabilizer_orbit_key(u, w) == key]
+
+
 def test_column_matches_orbit_sums_for_every_sorted_word():
     # the row index of an element, built on its first column, must give
-    # f(u) = sum of c * orbit_sum(u, key) over the pairs (u, key) of f,
-    # also at words outside the support and for the results of arithmetic
+    # f(u) = sum of c * (orbit of key) over the pairs (u, key) of f, also at
+    # words outside the support and for the results of arithmetic; the
+    # orbits come from a word scan, not from the cache the columns read
     rng = random.Random(15)
 
     def expected(f, u):
         out = TensorElement(f.q)
         for (v, key), c in f.items():
             if v == u:
-                out = out + orbit_sum(u, key).scale(c)
+                out = out + TensorElement(f.q, dict.fromkeys(_orbit_by_scan(f.n, u, key), c))
         return out
 
     for n, q in [(2, 1), (2, 3), (3, 2), (3, 3)]:
@@ -477,6 +484,29 @@ def test_column_matches_orbit_sums_for_every_sorted_word():
                       f.compose(g), g.compose(f)):
                 for u in sorted_words(n, q):
                     assert h.column(u) == expected(h, u), (n, q, u)
+
+
+def test_orbit_matches_word_scan():
+    # the cached orbit of each (u, key) holds exactly the words that a scan
+    # gives that key, each once, as many as the multinomial count of the
+    # rearrangements of key inside each run of u
+    def arrangements(w):
+        count = math.factorial(len(w))
+        for _, letters in groupby(w):
+            count //= math.factorial(len(list(letters)))
+        return count
+
+    for n, top in [(2, 5), (3, 4), (4, 3)]:
+        for q in range(top + 1):
+            for u in sorted_words(n, q):
+                stops = list(accumulate(len(list(run)) for _, run in groupby(u)))
+                for key in orbit_keys(n, u):
+                    orbit = _orbit(u, key)
+                    assert len(set(orbit)) == len(orbit), (u, key)
+                    assert set(orbit) == set(_orbit_by_scan(n, u, key)), (u, key)
+                    assert len(orbit) == math.prod(
+                        arrangements(key[i:j]) for i, j in zip([0] + stops, stops))
+                    assert orbit_sum(u, key) == TensorElement(q, dict.fromkeys(orbit, 1))
 
 
 def test_apply_word_on_sorted_and_unsorted_words():

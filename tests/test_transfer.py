@@ -314,7 +314,9 @@ def test_transfer_getters_and_product_memo_match_oracles():
     # one case per way the per-sigma getters or the per-u product memo could
     # go wrong: degree 1, where a one-index itemgetter returns a letter;
     # degree 5 with two and with four parts; and factors whose supports share
-    # sorted words, so that many sigma read the same blocks off one u
+    # sorted words, so that many sigma read the same blocks off one u.  The
+    # default transversal (None) reads its getters from the per-composition
+    # cache; a given one, the canonical one included, builds its own
     rng = random.Random(28)
     shared = {1: {(1,): {(1,): 2, (2,): -1}},
               2: {(1, 1): {(1, 2): 1, (1, 1): 3}, (1, 2): {(2, 1): -2}},
@@ -326,9 +328,12 @@ def test_transfer_getters_and_product_memo_match_oracles():
         fs = [SchurElement(n, a, data[a]) if data else
               _rand_element(n, a, rng, entries=rng.randint(1, 3)) for a in parts]
         d = sum(parts)
-        for transversal in (coset_transversal(parts), random_transversal(parts, rng),
-                            transversal_by_product(parts)):
-            got = transfer(parts, fs, transversal=transversal)
+        canonical = coset_transversal(parts)
+        for given, transversal in ((None, canonical), (canonical, canonical),
+                                   (None, canonical),
+                                   (random_transversal(parts, rng),) * 2,
+                                   (transversal_by_product(parts),) * 2):
+            got = transfer(parts, fs, transversal=given)
             assert got == _transfer_full_scan(parts, fs, transversal), (n, parts)
             for w in words_of(n, d):
                 assert got.apply_word(w) == _direct_sum(fs, parts, transversal, w), \
