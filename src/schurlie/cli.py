@@ -30,7 +30,7 @@ from .words import read_int
 
 def _load_schur(text):
     try:
-        if text.lstrip().startswith("{"):
+        if text.lstrip().startswith(("{", "[")):
             return SchurElement.from_json_dict(json.loads(text))
         with open(text, "r", encoding="utf-8") as fh:
             return SchurElement.from_json_dict(json.load(fh))

@@ -72,7 +72,6 @@ embed(P_w) at the copies of l with one a made a b.
 from collections import deque
 from functools import lru_cache
 from itertools import combinations, count, permutations
-from operator import add
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      NoSolutionFound, ResourceGuardExceeded)
@@ -82,8 +81,9 @@ from .freelie import (LieElement, decompose, embed, embed_monomial,
                       normalize, zero_lie)
 from .linalg import IntegerLattice, smith_normal_form, solve_integer
 from .schur import SchurElement, basis_dimension_formula
-from .words import (SparseCombination, TensorElement, rearrangements,
-                    sorted_rep, tensor_product)
+from .words import (SparseCombination, TensorElement, _place,
+                    perm_sorting_onto, rearrangements, sorted_rep,
+                    stabilizer_orbit_key, tensor_product)
 
 # the closure's refusal bound on the endomorphism basis size of a degree; it
 # counts nothing the engine builds, and stands in for a bound on real cost
@@ -311,9 +311,15 @@ def find_annihilating_schur(n, i, j, u):
     multidegree.  The right-hand side -fix lives on the rearrangements of
     block_u, so every other block has right-hand side 0 and is solved by zero
     coefficients.  Only block_u's own block is built: its rows are the
-    distinct rearrangements of block_u, its columns the keys with block_u's
-    letters, all read off one pass over the pairs (_pair_images), and one
-    integer solve over that block does the rest.
+    distinct rearrangements v of block_u, its columns the keys
+    stabilizer_orbit_key(block_u, v) they reach, sorted, and one integer
+    solve over that block does the rest.  The cells are read off one pass
+    over the pairs (x, v), x a word of fix: with sigma the permutation that
+    places block_u onto x, the coefficient of x goes to row v.sigma and
+    column key of v.  This is exact: {block_u: {key: 1}} sends x =
+    block_u.sigma to orbit_sum(block_u, key) moved by sigma, so the words
+    v.sigma of that image are those with v in key's stabilizer orbit, that
+    is, with key of v equal to key.
 
     A solution always exists: minus the weight idempotent, {block_u:
     {block_u: -1}}, is -1 on the words of block_u's multidegree and 0 on all
@@ -340,9 +346,15 @@ def find_annihilating_schur(n, i, j, u):
 
     block_u = sorted_rep(next(iter(fix._coeffs)))
     word_list = rearrangements(block_u)
-    images = _pair_images(n, {x: [c] for x, c in fix._coeffs.items()}, word_list)
-    keys = sorted(images)
-    rows = [[images[key].get(w, (0,))[0] for key in keys] for w in word_list]
+    key_of = {v: stabilizer_orbit_key(block_u, v) for v in word_list}
+    keys = sorted(set(key_of.values()))
+    col_of = {key: c for c, key in enumerate(keys)}
+    row_of = {w: r for r, w in enumerate(word_list)}
+    rows = [[0] * len(keys) for _ in word_list]
+    for x, c in fix._coeffs.items():
+        sigma = perm_sorting_onto(block_u, x)
+        for v, key in key_of.items():
+            rows[row_of[_place(v, sigma)]][col_of[key]] += c
     rhs = [-fix.coeff(w) for w in word_list]
     solution = solve_integer(rows, rhs)
     if solution is None:
@@ -466,25 +478,6 @@ def _divided_powers(n, p, u, row, a, b):
                 f"divided power {r} of x{b} -> x{a} is not integral on block {u}")
         row = [x // r for x in image]
         yield u, row
-
-
-def _pair_images(n, sources, targets):
-    """key -> target l -> the sum of the vectors of the sources x (word ->
-    vector, all x rearrangements of one sorted word u) that {u: {key: 1}}
-    sends onto l, in one pass over the pairs (x, l).  That element sends x
-    to orbit_sum(u, key) moved by the place permutation that sorts u onto
-    x, so exactly one key puts l in the image of x: sorted, the letter pairs
-    (x[t], l[t]) have it as their second halves.  A pair (a, b) is coded as
-    a * base + b, so b = code % base."""
-    base = n + 1
-    by_code = {}
-    for x, ex in sources.items():
-        shifted = [a * base for a in x]
-        for l in targets:
-            image = by_code.setdefault(tuple(sorted(map(add, shifted, l))), {})
-            acc = image.get(l)
-            image[l] = ex if acc is None else list(map(add, acc, ex))
-    return {tuple(v % base for v in code): image for code, image in by_code.items()}
 
 
 def _act_on_row(entries, n, width, row):

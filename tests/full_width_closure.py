@@ -8,19 +8,20 @@ Hermite rows, and sweeps every seed through the action entries of every
 basis endomorphism, passing over a seed with no nonzero entry in an entry
 list's columns.  As it acts by the whole basis, not by the divided powers
 E_i^(r), F_i^(r) that the engine acts by, it does not rest on their
-generating the Schur algebra.
+generating the Schur algebra.  The action entries are read off
+schurlie.schur.apply_to_lie of each basis element on each Lyndon word, so
+the oracle acts through the public Schur action and no solver kernel.
 """
 
 from functools import lru_cache
 from itertools import compress
 
 from schurlie.derivations import (_blocks, _bracket, _embedded_images,
-                                  _leibniz, _pair_images, _row_derivation,
-                                  _tensor)
-from schurlie.freelie import (decompose, embed_monomial, lyndon_bracketing,
-                              lyndon_words)
+                                  _leibniz, _row_derivation, _tensor)
+from schurlie.freelie import (LieElement, decompose, embed_monomial,
+                              lyndon_bracketing, lyndon_words)
 from schurlie.linalg import IntegerLattice
-from schurlie.schur import orbit_keys
+from schurlie.schur import SchurElement, apply_to_lie, orbit_keys
 from schurlie.words import sorted_rep, sorted_words
 
 
@@ -57,69 +58,25 @@ def leibniz_letter_table(n, p, u, a, b):
 
 
 @lru_cache(maxsize=None)
-def _lyndon_triangle(n, p):
-    """Per Lyndon word l of length p over 1..n, the (word, coefficient)
-    pairs of the other Lyndon words in embed(P_l), P_l its standard
-    bracketing.
-
-    embed(P_l) is l plus larger words, so every word listed is larger than
-    l: the coefficients of a Lie element at the Lyndon words are a
-    unitriangular transform of its Lyndon coordinates, undone by
-    back-substitution in increasing word order.
-    """
-    words = lyndon_words(n, p)
-    lyndon = set(words)
-    out = {}
-    for l in words:
-        terms = embed_monomial(lyndon_bracketing(l))._coeffs.items()
-        out[l] = tuple((v, c) for v, c in terms if v != l and v in lyndon)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _action_matrices(n, p):
     """Per basis endomorphism, in basis(n, p) order, its nonzero
     (row, col, value) entries on the degree's Lyndon coordinates, sorted by
-    column and then row; elements with no entries are left out."""
+    column and then row; elements with no entries are left out.  Column c
+    is read off apply_to_lie of the element on the c-th Lyndon word."""
     words = lyndon_words(n, p)
-    blocks = {}  # sorted letters -> indices of the Lyndon words with them
-    for c, w in enumerate(words):
-        blocks.setdefault(sorted_rep(w), []).append(c)
+    index = {w: r for r, w in enumerate(words)}
     mats = []
     for u in sorted_words(n, p):  # the order of basis(n, p)
-        if u in blocks:
-            images = _block_action(n, p, blocks, u)
-            mats.extend(images[key] for key in orbit_keys(n, u) if key in images)
+        cols = [c for c, w in enumerate(words) if sorted_rep(w) == u]
+        for key in orbit_keys(n, u):
+            f = SchurElement(n, p, {u: {key: 1}})
+            entries = []
+            for c in cols:
+                image = apply_to_lie(f, LieElement(n, p, {words[c]: 1}))
+                entries.extend(sorted((index[l], c, x) for l, x in image.items()))
+            if entries:
+                mats.append(tuple(entries))
     return tuple(mats)
-
-
-def _block_action(n, p, blocks, u):
-    """The entries of each basis element {u: {key: 1}} that has any, by key,
-    with rows and columns indexing all the degree's Lyndon words."""
-    words = lyndon_words(n, p)
-    cols = blocks[u]
-    zero = [0] * len(cols)
-    embedded = {}  # word x -> its coefficient in embed(P_w), per column w
-    for j, c in enumerate(cols):
-        for x, e in embed_monomial(lyndon_bracketing(words[c]))._coeffs.items():
-            embedded.setdefault(x, list(zero))[j] = e
-    triangle = _lyndon_triangle(n, p)
-    images = {}
-    for key, image in _pair_images(n, embedded, words).items():
-        coords = []  # (row, Lyndon coordinate per column), rows increasing
-        for r in blocks[sorted_rep(key)]:
-            l = words[r]
-            v = image.get(l)
-            if v is None or not any(v):
-                continue
-            coords.append((r, v))
-            for m, t in triangle[l]:
-                image[m] = [a - t * b for a, b in zip(image.get(m, zero), v)]
-        entries = tuple((r, c, v[j]) for j, c in enumerate(cols)
-                        for r, v in coords if v[j])
-        if entries:
-            images[key] = entries
-    return images
 
 
 def _act_on_vector(entries, W, vec):

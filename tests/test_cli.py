@@ -347,6 +347,9 @@ def test_cli_verify_rejects_flag_suite_does_not_take(capsys, argv, flag):
     (["verify", "generation", "--n", "1"],
      "suite generation has no instance to check at "
      "n=1, max_degree=4, seed=0, generators=mtilde"),
+    # inline JSON that is not an object is read as JSON, not as a file name
+    (["star", "--left", "[1]", "--right", "{}"],
+     "cannot read element from '[1]': an element is a JSON object"),
 ])
 def test_cli_rejects_numeric_flag_out_of_range(capsys, argv, message):
     assert main(argv) == 2
@@ -415,6 +418,11 @@ LEMMA425_PINS = {
     # its Smith solve would change the reported support
     "lemma425 --n 3 --max-degree 5":
         "0ff75c498308f9930e50daa52525d14e6960472432d47ce01496452dea7fe3d6",
+    # ranks 4 and 5, pinned to the solver that coded letter pairs as integers
+    "lemma425 --n 4 --max-degree 4":
+        "7645e83f3e1c67066f5b611fa787f8af5fca0740d6c2c41518b095fd0132e00f",
+    "lemma425 --n 5 --max-degree 3":
+        "82e91a03ee98970589850319c9ce48182bc3283ed26bb097e94b981aee2af168",
 }
 
 
@@ -434,8 +442,9 @@ LAWS_PINS = {
         "d750b5cd2c93be7228845ae7e503c6d941543424941facff0430cb20c84e5635",
     "equivariance --n 3 --max-degree 5":
         "30eb2e0d6f2712d379b9162519a29847ff0f6d9c809904ab3e3292a0d05a4ab0",
-    # the first rank-4 products, and the operad at degree 6; pinned to the
-    # kernel that rebuilt each stabilizer orbit per column
+    # the first rank-4 products, and the operad at rank 3 (its draws reach
+    # result degree 6 whatever --max-degree is); pinned to the kernel that
+    # rebuilt each stabilizer orbit per column
     "star-laws --n 4 --max-degree 5":
         "5775cb4ceab85c746c05a5cceee19a6ddfca59b0a998bfa69c914b1f5937300e",
     "operad --n 3 --max-degree 6":

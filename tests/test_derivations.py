@@ -439,10 +439,10 @@ def test_find_annihilating_schur_solves_full_system(n, max_k):
                     assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
 
 
-@pytest.mark.parametrize("n, max_k", [(3, 4), (2, 7), (4, 3)])
+@pytest.mark.parametrize("n, max_k", [(3, 4), (2, 7), (4, 3), (5, 3)])
 def test_find_annihilating_schur_block_matrix(monkeypatch, n, max_k):
-    # the pair pass builds the same block system, cell for cell, as applying
-    # {block_u: {key: 1}} to fix once per key, with the keys sorted
+    # the stabilizer-key pass builds the same block system, cell for cell, as
+    # applying {block_u: {key: 1}} to fix once per key, with the keys sorted
     systems = []
     solve_integer = derivations.solve_integer
 
