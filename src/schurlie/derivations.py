@@ -81,7 +81,7 @@ from .freelie import (LieElement, decompose, embed, embed_monomial,
                       normalize, zero_lie)
 from .linalg import IntegerLattice, smith_normal_form, solve_integer
 from .schur import SchurElement, basis_dimension_formula
-from .words import (SparseCombination, TensorElement, _place,
+from .words import (SparseCombination, TensorElement, _placer,
                     perm_sorting_onto, rearrangements, sorted_rep,
                     stabilizer_orbit_key, tensor_product)
 
@@ -352,9 +352,9 @@ def find_annihilating_schur(n, i, j, u):
     row_of = {w: r for r, w in enumerate(word_list)}
     rows = [[0] * len(keys) for _ in word_list]
     for x, c in fix._coeffs.items():
-        sigma = perm_sorting_onto(block_u, x)
+        place = _placer(perm_sorting_onto(block_u, x))
         for v, key in key_of.items():
-            rows[row_of[_place(v, sigma)]][col_of[key]] += c
+            rows[row_of[place(v)]][col_of[key]] += c
     rhs = [-fix.coeff(w) for w in word_list]
     solution = solve_integer(rows, rhs)
     if solution is None:

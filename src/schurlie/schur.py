@@ -17,22 +17,21 @@ by counting each key's words against its orbit's length.
 
 Word-by-word column maps are built only for equivariance checks, over the
 support of an element; the brute-force dimension oracle alone scans all n^q
-words.  The check itself builds no tensor: each adjacent transposition is
-one itemgetter that swaps two positions of a word, and the column at the
-swapped word is compared term by term with the swapped pairs of the word's
-own column.
+words.  The check itself builds no tensor: each adjacent transposition acts
+through its placer (words._placer), which swaps two positions of a word,
+and the column at the swapped word is compared term by term with the
+swapped pairs of the word's own column.
 """
 
 import math
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
 from .freelie import LieElement, decompose, embed
 from .words import (SparseCombination, TensorElement, _equal_letter_runs,
-                    _linear_combination, act, check_word, perm_from_cycles,
+                    _linear_combination, _placer, check_word, perm_from_cycles,
                     read_int, rearrangements, sorted_rep, sorted_words,
                     stabilizer_orbit_key, words_of)
 
@@ -83,9 +82,9 @@ class SchurElement(SparseCombination):
         for u, row in rows.items():
             u = check_word(u)
             if len(u) != q:
-                raise InvalidArgument(f"key word {u!r} has length {len(u)}, expected {q}")
+                raise InvalidArgument(f"sorted word {u!r} has length {len(u)}, expected {q}")
             if u != sorted_rep(u):
-                raise InvalidArgument(f"key word {u!r} is not weakly increasing")
+                raise InvalidArgument(f"sorted word {u!r} is not weakly increasing")
             if u and not 1 <= max(u) <= n:
                 raise InvalidArgument(f"letter above rank {n} in {u!r}")
             for key, c in row.items():
@@ -97,6 +96,9 @@ class SchurElement(SparseCombination):
     def _check_key(self, pair):
         """Check the key of a pair (u, key); the constructor checked u."""
         u, key = pair
+        if len(key) != self.q:
+            raise InvalidArgument(
+                f"orbit key {key!r} of sorted word {u!r} has length {len(key)}, expected {self.q}")
         key = check_word(key)
         if key and max(key) > self.n:
             raise InvalidArgument(f"letter above rank {self.n} in key {key!r}")
@@ -310,9 +312,9 @@ def is_equivariant(colmap, n, q):
     as s_i is an involution, a word outside the support is never sent into
     it, and there both sides vanish.
 
-    Each s_i is one itemgetter that reads a word with positions i and i+1
-    swapped: for an involution, that is the word acted on by s_i.  The pairs
-    of M(w.s_i) are compared, term by term in one dict comparison, with the
+    The swap of s_i is its placer (words._placer), the cached map
+    w -> w.s_i, which exchanges positions i and i+1 of a word.  The pairs of
+    M(w.s_i) are compared, term by term in one dict comparison, with the
     pairs of M(w) read through the swap.  The swap is a bijection on words,
     so equal dicts mean equal tensors of degree q, and a missing or zero
     M(w.s_i) fails.
@@ -333,7 +335,7 @@ def is_equivariant(colmap, n, q):
         if col._coeffs:
             support.append((w, col._coeffs))
     for i in range(1, q):
-        swap = itemgetter(*range(i - 1), i, i - 1, *range(i + 1, q))
+        swap = _placer(perm_from_cycles([(i, i + 1)], q))
         for w, coeffs in support:
             image = colmap.get(swap(w))
             if image is None or image._coeffs != {swap(v): c for v, c in coeffs.items()}:
@@ -403,8 +405,8 @@ def equivariant_basis_bruteforce(n, q):
             parent[max(ra, rb)] = min(ra, rb)
 
     for i in range(1, q):
-        s_i = perm_from_cycles([(i, i + 1)], q)
-        moved = [index[act(w, s_i)] for w in words]
+        swap = _placer(perm_from_cycles([(i, i + 1)], q))
+        moved = [index[swap(w)] for w in words]
         for r in range(N):
             mr = moved[r] * N
             rN = r * N

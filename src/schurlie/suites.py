@@ -129,13 +129,14 @@ def _random_schur(n, q, rng, entries=2):
     if q == 0:
         return SchurElement.scalar(n, rng.randint(-3, 3))
     us = list(sorted_words(n, q))
-    data = {}
+    pairs = {}
     for _ in range(entries):
         u = rng.choice(us)
         key = rng.choice(orbit_keys(n, u))
         c = rng.choice([-3, -2, -1, 1, 2, 3])
-        data.setdefault(u, {})[key] = data.get(u, {}).get(key, 0) + c
-    return SchurElement(n, q, data)
+        pairs[u, key] = pairs.get((u, key), 0) + c
+    # every u is sorted and every key drawn from orbit_keys, so nothing to check
+    return SchurElement._trusted(n, q, {pair: c for pair, c in pairs.items() if c})
 
 
 def _random_composition(rng, total, max_parts=3):

@@ -12,25 +12,24 @@ one.
 
 transfer evaluates the sum only on the sorted words u that hold the letters
 of one support word per factor, in one loop over the transversal.  Each
-sigma has two itemgetters: one reads u . sigma^{-1} straight off u, the
-other places a concatenated image word by sigma.  For the canonical
-transversal they are built once per composition and cached; a transversal
-given by the caller gets its own per call.  Each factor's image of a block
-word is computed once per call, and the concatenated product of the blocks
-of one word u . sigma^{-1} once per u: every sigma that reads the same
-blocks off u reuses it, and only its placement is redone.  The placed terms
-go into one coefficient dict per u.
+sigma has two cached placers (words._placer): one reads u . sigma^{-1}
+straight off u, the other places a concatenated image word by sigma.  The
+canonical transversal's pairs are collected once per composition and
+cached; a transversal given by the caller gets its own per call.  Each
+factor's image of a block word is computed once per call, and the
+concatenated product of the blocks of one word u . sigma^{-1} once per u:
+every sigma that reads the same blocks off u reuses it, and only its
+placement is redone.  The placed terms go into one coefficient dict per u.
 """
 
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
-from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidArgument
 from .schur import SchurElement, orbit_data_of_column
-from .words import (SparseCombination, TensorElement, act, check_perm,
-                    perm_compose, perm_inverse, perm_sorting_onto,
+from .words import (SparseCombination, TensorElement, _placer, act,
+                    check_perm, perm_compose, perm_inverse, perm_sorting_onto,
                     rearrangements, young_subgroup_of)
 
 
@@ -175,19 +174,8 @@ def _canonical_moves(parts):
 
 
 def _moves(transversal):
-    """Per sigma, the getters of u . sigma^{-1} and of w . sigma."""
-    return tuple((_getter([s - 1 for s in sigma]),
-                  _getter([t - 1 for t in perm_inverse(sigma)]))
-                 for sigma in transversal)
-
-
-def _getter(indices):
-    """The map w -> tuple(w[i] for i in indices), as an itemgetter; a
-    one-index itemgetter returns a letter, so that case wraps it."""
-    if len(indices) == 1:
-        i, = indices
-        return lambda w: (w[i],)
-    return itemgetter(*indices)
+    """Per sigma, the placers of sigma^{-1} (read u) and of sigma (place w)."""
+    return tuple((_placer(perm_inverse(sigma)), _placer(sigma)) for sigma in transversal)
 
 
 def star(f, g):

@@ -11,7 +11,9 @@ holds letter ``sigma^{-1}(t)`` of ``w``.  Two consecutive actions compose as
     act(act(w, s), t) == act(w, perm_compose(t, s))
 
 where ``perm_compose(t, s)`` is ordinary function composition, s applied
-first.  All values here are immutable tuples or carry only private state.
+first.  It lives in ``_placer(sigma)``, one itemgetter cached per sigma, and
+every layer moves word positions through it.  All values here are immutable
+tuples or carry only private state.
 
 Tensors, Lie elements, group-ring elements, Magnus series, equivariant
 endomorphisms, their graded sums and derivations share one arithmetic core,
@@ -23,8 +25,10 @@ results through ``_trusted``, whose callers guarantee checked keys and no zero
 coefficients.
 """
 
+from functools import lru_cache
 from itertools import (combinations_with_replacement, groupby, permutations,
                        product)
+from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidArgument, ParseError
 
@@ -143,20 +147,25 @@ def act(w, sigma):
 
     >>> act((1, 2), (2, 1))
     (2, 1)
-    >>> act((1, 2, 3), perm_from_cycles([(1, 2, 3)], 3))
-    (3, 1, 2)
     """
     if len(w) != len(sigma):
         raise DimensionMismatch(f"word of length {len(w)} under permutation of size {len(sigma)}")
-    return _place(w, sigma)
+    return _placer(tuple(sigma))(w)
 
 
-def _place(w, sigma):
-    """act without the length check."""
-    out = [0] * len(w)
-    for letter, target in zip(w, sigma):
-        out[target - 1] = letter
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _placer(sigma):
+    """w -> act(w, sigma) as one itemgetter, without the length check.  Below
+    length 2, where an itemgetter would raise or return a letter, it is tuple.
+
+    >>> _placer(perm_from_cycles([(1, 2, 3)], 3))((1, 2, 3))
+    (3, 1, 2)
+    >>> _placer((1,))((4,))
+    (4,)
+    """
+    if len(sigma) < 2:
+        return tuple
+    return itemgetter(*[t - 1 for t in perm_inverse(sigma)])
 
 
 def rearrangements(w):
@@ -238,18 +247,12 @@ def _equal_letter_runs(u):
 
 
 def young_subgroup_of(u):
-    """The stabilizer of a weakly increasing word u, as one-line tuples."""
+    """The stabilizer of a weakly increasing word u, as one-line tuples: each
+    run of equal letters holds a permutation of its own positions."""
     if tuple(sorted(u)) != tuple(u):
         raise InvalidArgument(f"stabilizer enumeration needs a sorted word, got {u!r}")
-    blocks = [range(i + 1, j + 1) for i, j in _equal_letter_runs(u)]
-    perms = []
-    for pieces in product(*(permutations(b) for b in blocks)):
-        images = [0] * len(u)
-        for block, piece in zip(blocks, pieces):
-            for src, dst in zip(block, piece):
-                images[src - 1] = dst
-        perms.append(tuple(images))
-    return perms
+    runs = (permutations(range(i + 1, j + 1)) for i, j in _equal_letter_runs(u))
+    return [sum(pieces, ()) for pieces in product(*runs)]
 
 
 def multidegree(w, n):
@@ -389,8 +392,9 @@ class TensorElement(SparseCombination):
         if len(sigma) != self.degree:
             raise DimensionMismatch(
                 f"degree-{self.degree} tensor under permutation of size {len(sigma)}")
+        place = _placer(tuple(sigma))
         return TensorElement._trusted(
-            self.degree, {_place(w, sigma): c for w, c in self._coeffs.items()})
+            self.degree, {place(w): c for w, c in self._coeffs.items()})
 
     def __repr__(self):
         return f"TensorElement({self.degree}, {dict(self.items())!r})"

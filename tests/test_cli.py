@@ -350,6 +350,12 @@ def test_cli_verify_rejects_flag_suite_does_not_take(capsys, argv, flag):
     # inline JSON that is not an object is read as JSON, not as a file name
     (["star", "--left", "[1]", "--right", "{}"],
      "cannot read element from '[1]': an element is a JSON object"),
+    # an orbit key shorter than its sorted word is named with its u and q
+    (["star", "--left", '{"n":2,"q":1,"entries":[{"u":"1","key":"","coeff":"3"}]}',
+      "--right", '{"n":2,"q":0,"entries":[]}'],
+     "cannot read element from '{\"n\":2,\"q\":1,\"entries\":[{\"u\":\"1\","
+     "\"key\":\"\",\"coeff\":\"3\"}]}': "
+     "orbit key () of sorted word (1,) has length 0, expected 1"),
 ])
 def test_cli_rejects_numeric_flag_out_of_range(capsys, argv, message):
     assert main(argv) == 2

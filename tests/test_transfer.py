@@ -311,12 +311,13 @@ def test_transfer_support_loop_matches_full_scan():
 
 
 def test_transfer_getters_and_product_memo_match_oracles():
-    # one case per way the per-sigma getters or the per-u product memo could
-    # go wrong: degree 1, where a one-index itemgetter returns a letter;
+    # one case per way the per-sigma placers or the per-u product memo could
+    # go wrong: degree 1, where sigma and its placers are the identity;
     # degree 5 with two and with four parts; and factors whose supports share
     # sorted words, so that many sigma read the same blocks off one u.  The
-    # default transversal (None) reads its getters from the per-composition
-    # cache; a given one, the canonical one included, builds its own
+    # default transversal (None) reads its placer pairs from the
+    # per-composition cache; a given one, the canonical one included,
+    # collects its own
     rng = random.Random(28)
     shared = {1: {(1,): {(1,): 2, (2,): -1}},
               2: {(1, 1): {(1, 2): 1, (1, 1): 3}, (1, 2): {(2, 1): -2}},

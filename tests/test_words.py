@@ -17,8 +17,10 @@ def all_perms(q):
 
 
 def test_act_swap():
-    # x1 (x) x2 under the transposition
+    # x1 (x) x2 under the transposition, also given as a list
     assert act((1, 2), (2, 1)) == (2, 1)
+    assert act((1, 2), [2, 1]) == (2, 1)
+    assert act((3,), [1]) == (3,)
 
 
 def test_act_identity():
@@ -35,6 +37,29 @@ def test_act_three_cycle():
 def test_act_length_mismatch():
     with pytest.raises(DimensionMismatch):
         act((1, 2, 3), (2, 1))
+
+
+def _place_by_definition(w, sigma):
+    """The action written out: position sigma(t) of the result holds w[t]."""
+    out = [0] * len(w)
+    for letter, target in zip(w, sigma):
+        out[target - 1] = letter
+    return tuple(out)
+
+
+def test_act_matches_its_definition():
+    # every sigma of sizes 0-6, on a word of distinct letters and on one with
+    # repeated letters; a tensor holding both moves each word the same way
+    for q in range(7):
+        distinct = tuple(range(1, q + 1))
+        repeated = (1, 2, 1, 3, 2, 1)[:q]
+        words = {distinct, repeated}
+        t = TensorElement(q, {w: c for c, w in enumerate(sorted(words), 1)})
+        for sigma in all_perms(q):
+            for w in words:
+                assert act(w, sigma) == _place_by_definition(w, sigma), (w, sigma)
+            assert t.act(sigma) == TensorElement(
+                q, {_place_by_definition(w, sigma): c for w, c in t.items()})
 
 
 def test_action_composition_law_small():
@@ -203,6 +228,7 @@ def test_tensor_act_linear():
     swapped = t.act((2, 1))
     assert swapped.coeff((2, 1)) == 1
     assert swapped.coeff((1, 1)) == 4
+    assert t.act([2, 1]) == swapped
 
 
 def test_tensor_product():
