@@ -7,13 +7,15 @@ stabilizer-orbit key of u; see words.stabilizer_orbit_key), as a
 words.SparseCombination; f extends to every word w = u.sigma by
 f(w) = f(u).sigma, independently of the chosen sigma.
 
-An element indexes its pairs by sorted word once, on the first column it
-builds, and caches every column it builds, so f(u) costs one pass over the
-keys of u.  The stabilizer orbit of each pair (u, key) is enumerated once
-per process (_orbit, cached): a column sets each word of each key's orbit
-to that key's coefficient, with no sum, as the orbits of distinct keys are
-disjoint; and orbit_data_of_column checks that a column holds whole orbits
-by counting each key's words against its orbit's length.
+An element keeps one copy of its pairs and caches every column it builds;
+the column at u scans the pairs for those of u, a short pass on the sparse
+elements columns are built for.  The stabilizer orbit of each pair (u, key),
+from the runs of equal letters of u, is enumerated once per process (_orbit,
+cached): a column sets each word of each key's orbit to that key's
+coefficient, with no sum, as the orbits of distinct keys are disjoint;
+orbit_data_of_column checks that a column holds whole orbits by counting
+each key's words against its orbit's length; and transfer.young_subgroup
+is the orbit of the identity under a marker word.
 
 Word-by-word column maps are built only for equivariance checks, over the
 support of an element; the brute-force dimension oracle alone scans all n^q
@@ -25,14 +27,14 @@ swapped pairs of the word's own column.
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
 from .freelie import LieElement, decompose, embed
-from .words import (SparseCombination, TensorElement, _equal_letter_runs,
-                    _linear_combination, _placer, check_word, perm_from_cycles,
-                    read_int, rearrangements, sorted_rep, sorted_words,
+from .words import (SparseCombination, TensorElement, _linear_combination,
+                    _placer, check_word, perm_from_cycles, read_int,
+                    rearrangements, sorted_rep, sorted_words,
                     stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest degree the equivariance checks accept
@@ -42,6 +44,17 @@ SCHUR_BASIS_GUARD = 100_000  # largest basis built, about 2 s of output
 def orbit_sum(u, key):
     """Sum of the stabilizer orbit of key under the stabilizer of sorted u."""
     return TensorElement._trusted(len(u), dict.fromkeys(_orbit(tuple(u), tuple(key)), 1))
+
+
+def _equal_letter_runs(u):
+    """(start, stop) slice bounds of the maximal runs of equal letters in u."""
+    runs = []
+    start = 0
+    for _, run in groupby(u):
+        stop = start + sum(1 for _ in run)
+        runs.append((start, stop))
+        start = stop
+    return runs
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +84,7 @@ class SchurElement(SparseCombination):
     """An equivariant endomorphism of the degree-q tensor power, rank n: one
     coefficient per pair (sorted word u, orbit key of u)."""
 
-    __slots__ = ("n", "q", "_columns", "_rows")
+    __slots__ = ("n", "q", "_columns")
 
     def __init__(self, n, q, rows):
         """rows maps sorted words u to {orbit key: coefficient}; each u is
@@ -91,7 +104,6 @@ class SchurElement(SparseCombination):
                 pairs[u, key] = c
         self._coeffs = self._checked(pairs, self._check_key)
         self._columns = {}
-        self._rows = None
 
     def _check_key(self, pair):
         """Check the key of a pair (u, key); the constructor checked u."""
@@ -115,7 +127,6 @@ class SchurElement(SparseCombination):
         self.q = q
         self._coeffs = pairs
         self._columns = {}
-        self._rows = None
         return self
 
     def _header(self):
@@ -147,16 +158,12 @@ class SchurElement(SparseCombination):
         u = tuple(u)
         col = self._columns.get(u)
         if col is None:
-            rows = self._rows
-            if rows is None:
-                rows = self._rows = {}
-                for (v, key), c in self._coeffs.items():
-                    rows.setdefault(v, []).append((key, c))
             # orbits of distinct keys are disjoint and no stored value is 0
             coeffs = {}
-            for key, c in rows.get(u, ()):
-                for w in _orbit(u, key):
-                    coeffs[w] = c
+            for (v, key), c in self._coeffs.items():
+                if v == u:
+                    for w in _orbit(u, key):
+                        coeffs[w] = c
             col = self._columns[u] = TensorElement._trusted(self.q, coeffs)
         return col
 
@@ -281,7 +288,6 @@ def _long_runs(u):
     return tuple(slice(i, j) for i, j in _equal_letter_runs(u) if j - i > 1)
 
 
-@lru_cache(maxsize=None)
 def basis(n, q):
     """One element per (sorted word, orbit key): a basis of the equivariant
     endomorphisms; its size is the sum of orbit counts over sorted words."""

@@ -125,12 +125,13 @@ def run_spechtwever(n=3, max_degree=5, seed=0):
                        instances)
 
 
-def _random_schur(n, q, rng, entries=2):
+def _random_schur(n, q, rng):
+    """A degree-0 scalar, or the sum of two random basis multiples."""
     if q == 0:
         return SchurElement.scalar(n, rng.randint(-3, 3))
     us = list(sorted_words(n, q))
     pairs = {}
-    for _ in range(entries):
+    for _ in range(2):
         u = rng.choice(us)
         key = rng.choice(orbit_keys(n, u))
         c = rng.choice([-3, -2, -1, 1, 2, 3])
@@ -139,10 +140,11 @@ def _random_schur(n, q, rng, entries=2):
     return SchurElement._trusted(n, q, {pair: c for pair, c in pairs.items() if c})
 
 
-def _random_composition(rng, total, max_parts=3):
+def _random_composition(rng, total):
+    """A random composition of total into at most three parts."""
     parts = []
     left = total
-    while left and len(parts) < max_parts - 1:
+    while left and len(parts) < 2:
         a = rng.randint(1, left)
         parts.append(a)
         left -= a
@@ -153,7 +155,10 @@ def _random_composition(rng, total, max_parts=3):
 
 def run_star_laws(n=3, max_degree=5, seed=0, trials=100):
     """Transversal independence, associativity, commutativity and
-    distributivity of the cross-degree product, on random sparse elements."""
+    distributivity of the cross-degree product, on random sparse elements;
+    max_degree >= 3 fits an associativity trial's three factors."""
+    if max_degree < 3:
+        raise InvalidArgument(f"star-laws needs max_degree >= 3, got {max_degree}")
     rng = random.Random(seed)
     instances = []
 
@@ -315,7 +320,7 @@ def run_generation(n=3, max_degree=4, seed=0, generators="mtilde"):
     elif generators == "gamma":
         gens = gamma_generators(n)
     else:
-        raise SchurlieError(f"unknown generator set {generators!r}")
+        raise InvalidArgument(f"unknown generator set {generators!r}")
     # a degree with no derivation to reach (every degree at n = 1) checks
     # nothing, so it is no instance
     instances = [{"key": f"degree{entry['degree']}", **entry, "pass": entry["saturated"]}

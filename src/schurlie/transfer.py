@@ -27,10 +27,10 @@ from itertools import product
 from math import factorial, prod
 
 from .errors import DimensionMismatch, InvalidArgument
-from .schur import SchurElement, orbit_data_of_column
+from .schur import SchurElement, _orbit, orbit_data_of_column
 from .words import (SparseCombination, TensorElement, _placer, act,
                     check_perm, perm_compose, perm_inverse, perm_sorting_onto,
-                    rearrangements, young_subgroup_of)
+                    rearrangements)
 
 
 def check_composition(parts):
@@ -52,8 +52,14 @@ def _marker(parts):
 
 def young_subgroup(parts):
     """The block-preserving subgroup of Sigma_d, as one-line tuples: the
-    stabilizer of the marker word."""
-    return young_subgroup_of(_marker(check_composition(parts)))
+    stabilizer of the marker word, which is the orbit of the identity under
+    it, each block's permutations taken lexicographically in product order.
+
+    >>> young_subgroup((2, 1))
+    [(1, 2, 3), (2, 1, 3)]
+    """
+    parts = check_composition(parts)
+    return list(_orbit(_marker(parts), tuple(range(1, sum(parts) + 1))))
 
 
 def coset_transversal(parts):

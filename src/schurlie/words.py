@@ -26,8 +26,7 @@ coefficients.
 """
 
 from functools import lru_cache
-from itertools import (combinations_with_replacement, groupby, permutations,
-                       product)
+from itertools import combinations_with_replacement, product
 from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidArgument, ParseError
@@ -233,26 +232,6 @@ def stabilizer_orbit_key(u, w):
     if tuple(a for a, _ in pairs) != tuple(u):
         raise InvalidArgument(f"stabilizer key needs a weakly increasing word, got {u!r}")
     return tuple(b for _, b in pairs)
-
-
-def _equal_letter_runs(u):
-    """(start, stop) slice bounds of the maximal runs of equal letters in u."""
-    runs = []
-    start = 0
-    for _, run in groupby(u):
-        stop = start + sum(1 for _ in run)
-        runs.append((start, stop))
-        start = stop
-    return runs
-
-
-def young_subgroup_of(u):
-    """The stabilizer of a weakly increasing word u, as one-line tuples: each
-    run of equal letters holds a permutation of its own positions."""
-    if tuple(sorted(u)) != tuple(u):
-        raise InvalidArgument(f"stabilizer enumeration needs a sorted word, got {u!r}")
-    runs = (permutations(range(i + 1, j + 1)) for i, j in _equal_letter_runs(u))
-    return [sum(pieces, ()) for pieces in product(*runs)]
 
 
 def multidegree(w, n):

@@ -654,7 +654,6 @@ def test_cli_size_guard_refuses_above_bound(capsys, monkeypatch, patch, refused,
                                             accepted, message):
     if patch is not None:
         monkeypatch.setattr(*patch)
-        schur.basis.cache_clear()  # the guard runs on a cache miss
     assert main(refused) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,4 +1,5 @@
 import doctest
+from importlib import import_module
 
 import schurlie.derivations
 import schurlie.freelie
@@ -29,4 +30,10 @@ def test_linalg_doctests():
 
 def test_schur_doctests():
     failures, tried = doctest.testmod(schurlie.schur)
+    assert tried and not failures
+
+
+def test_transfer_doctests():
+    # the package re-exports the function transfer under the module's name
+    failures, tried = doctest.testmod(import_module("schurlie.transfer"))
     assert tried and not failures

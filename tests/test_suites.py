@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from schurlie import suites
-from schurlie.errors import InternalInvariantError
+from schurlie.errors import InternalInvariantError, InvalidArgument
 from schurlie.suites import SUITES, make_report
 
 
@@ -43,6 +45,19 @@ def test_suite_reports_are_deterministic():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     c = SUITES["star-laws"](n=2, max_degree=3, seed=12, trials=10)
     assert c["ok"]
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2])
+def test_star_laws_refuses_max_degree_below_three(max_degree):
+    # an associativity trial draws three factors of degree >= 1, which no
+    # degree below 3 fits: the draw would loop forever
+    with pytest.raises(InvalidArgument, match=f"max_degree >= 3, got {max_degree}"):
+        SUITES["star-laws"](n=2, max_degree=max_degree)
+
+
+def test_generation_refuses_unknown_generator_set():
+    with pytest.raises(InvalidArgument, match="unknown generator set 'delta'"):
+        SUITES["generation"](n=2, max_degree=3, generators="delta")
 
 
 def test_lemma425_reports_a_failed_solver_check(monkeypatch):

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -95,6 +95,16 @@ def test_young_subgroup_size():
     from math import factorial, prod
     for parts in [(2, 1), (2, 2), (1, 3)]:
         assert len(young_subgroup(parts)) == prod(factorial(a) for a in parts)
+    # order too, as random_transversal's draws depend on it: each block's
+    # permutations of its own positions, taken in product order
+    for d in range(1, 7):
+        for k in range(d):
+            for cuts in combinations(range(1, d), k):
+                bounds = (0, *cuts, d)
+                blocks = list(zip(bounds, bounds[1:]))
+                expected = [sum(pieces, ()) for pieces in product(
+                    *(permutations(range(i + 1, j + 1)) for i, j in blocks))]
+                assert young_subgroup([j - i for i, j in blocks]) == expected, cuts
 
 
 def test_product_construction_transversal():
