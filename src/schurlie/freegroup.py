@@ -15,7 +15,12 @@ Conventions, fixed here and relied on throughout:
     word length (its layers), keyed by integer codes: a word u of length d
     over 1..n is the base-n number with digits u_k - 1, and the layer index
     gives d back.  Only the layers that are read are decoded into tuples:
-    all of them for magnus, the top one for johnson_image;
+    all of them for magnus;
+  * johnson_image never expands the doubled word x_i^{-1} alpha(x_i).  It
+    splits alpha(x_i) = h^{-1} c h at its conjugation shell h, expands h to
+    degree m and the core c to degree m+1 in codes of one base, and decodes
+    only the degree-(m+1) layer of C B - B A, with A, B, C the series of
+    x_i, h and c (see johnson_image);
   * an endomorphism substitutes and reduces in one pass, and a commutator
     of AutPairs composes its inverse only when .inv is first read; the
     named conjugating automorphisms are built, and their inverse checked,
@@ -342,25 +347,19 @@ def magnus(w, truncation):
     if truncation < 1:
         raise InvalidArgument("truncation degree must be >= 1")
     w = reduce_word(w)
-    base = _letter_base(w)
-    layers = _magnus_layers(w, truncation)
+    base = max(map(abs, w), default=1)
+    layers = _magnus_layers(w, truncation, base)
     return MagnusSeries._trusted(
         truncation, {u: c for d, layer in enumerate(layers)
                      for u, c in _decoded(layer, d, base).items()})
 
 
-def _letter_base(w):
-    """The base of the integer codes of the words in w's expansion: the
-    largest generator index in w."""
-    return max(map(abs, w), default=1)
-
-
-def _magnus_layers(w, truncation):
-    """The layers of magnus(w, truncation) for a reduced word w and
-    truncation >= 1: one dict per length d = 0..truncation, from the code
-    of a length-d word to its coefficient.  A word u over 1.._letter_base(w)
-    is coded as the base-n number with digits u_k - 1, so appending the
-    letter a to a code c gives c * n + a - 1.
+def _magnus_layers(w, truncation, base):
+    """The layers of magnus(w, truncation) for a reduced word w over
+    1..base and truncation >= 1: one dict per length d = 0..truncation,
+    from the code of a length-d word to its coefficient.  A word u is coded
+    as the number in base `base` with digits u_k - 1, so appending the
+    letter a to a code c gives c * base + a - 1.
 
     The word is read one letter at a time, and the layers are updated in
     place:
@@ -373,7 +372,6 @@ def _magnus_layers(w, truncation):
 
     Entries that become 0 are deleted.
     """
-    base = _letter_base(w)
     layers = [{0: 1}] + [{} for _ in range(truncation)]
     for a in w:
         if a > 0:
@@ -407,6 +405,27 @@ def _decoded(layer, d, base):
 # ---------------------------------------------------------------------------
 # the Johnson correspondence
 
+def _shell_split(v):
+    """Split a reduced word v as h^{-1} c h with the shell h as long as
+    possible: v[k] = -v[-1-k] for each k < len(h).  The core c is empty
+    only when v is: the two middle letters of a reduced word never cancel,
+    and no letter is its own inverse.
+
+    >>> _shell_split((-2, 1, 2))
+    ((2,), (1,))
+    >>> _shell_split((3, -2, 1, 2, -3))
+    ((2, -3), (1,))
+    >>> _shell_split((1, -2, -3, 2, 3))
+    ((), (1, -2, -3, 2, 3))
+    >>> _shell_split(())
+    ((), ())
+    """
+    k = 0
+    while 2 * k < len(v) and v[k] == -v[-1 - k]:
+        k += 1
+    return v[len(v) - k:], v[k:len(v) - k]
+
+
 def johnson_image(alpha, m):
     """The degree-(m+1) derivation attached to an automorphism at depth m.
 
@@ -415,6 +434,22 @@ def johnson_image(alpha, m):
     degree-(m+1) homogeneous parts are then Lie elements and assemble into
     the generator images of the result.  A generator that alpha fixes
     gets the zero image without an expansion.
+
+    The expansion is read off the conjugation shell of v = alpha(x_i),
+    v = h^{-1} c h (_shell_split), not off the doubled word x_i^{-1} v.
+    With A, B, C the Magnus series of x_i, h and c,
+
+        M(x_i^{-1} v) - 1 = A^{-1} B^{-1} C B - 1 = A^{-1} B^{-1} (C B - B A),
+
+    and A^{-1} B^{-1} is 1 plus terms of positive degree, so D = C B - B A
+    has the same lowest nonzero degree as M(x_i^{-1} v) - 1 and the same
+    homogeneous part there.  Since A = 1 + X_i and C_0 = B_0 = 1, the two
+    B_d terms of D_d cancel:
+
+        D_d = sum_{j=1..d} C_j B_{d-j} - B_{d-1} X_i,
+
+    so h is expanded to degree m and c to degree m+1.  For a
+    basis-conjugating image c = x_i, and D_d = [X_i, B_{d-1}].
     """
     if isinstance(alpha, AutPair):
         alpha = alpha.fwd
@@ -426,18 +461,32 @@ def johnson_image(alpha, m):
     n = alpha.n
     images = []
     for i in range(1, n + 1):
-        w = _reduce((-i,) + alpha.images[i - 1])
-        if not w:
+        v = alpha.images[i - 1]
+        if v == (i,):
             images.append(zero_lie(n, m + 1))
             continue
-        layers = _magnus_layers(w, m + 1)
-        if layers[0] != {0: 1}:
+        h, c = _shell_split(v)
+        B = _magnus_layers(h, m, n)
+        C = _magnus_layers(c, m + 1, n)
+        if B[0] != {0: 1} or C[0] != {0: 1}:
             raise InternalInvariantError("group-element series must start at 1")
-        d = next((d for d in range(1, m + 1) if layers[d]), None)
-        if d is not None:
-            raise NotInFiltration(
-                f"x_{i} moves in degree {d}; automorphism is not at depth {m}")
-        top = _decoded(layers[m + 1], m + 1, _letter_base(w))
+        for d in range(1, m + 2):  # D_d, keyed by codes
+            D = {}
+            for j in range(1, d + 1):
+                shift = n ** (d - j)
+                for cu, cc in C[j].items():
+                    cu *= shift
+                    for bu, bc in B[d - j].items():
+                        key = cu + bu
+                        D[key] = D.get(key, 0) + cc * bc
+            for bu, bc in B[d - 1].items():
+                key = bu * n + i - 1
+                D[key] = D.get(key, 0) - bc
+            D = {u: coeff for u, coeff in D.items() if coeff}
+            if D and d <= m:
+                raise NotInFiltration(
+                    f"x_{i} moves in degree {d}; automorphism is not at depth {m}")
+        top = _decoded(D, m + 1, n)
         images.append(decompose(n, TensorElement._trusted(m + 1, top)))
     return Derivation(n, m + 1, images)
 

@@ -2,6 +2,7 @@ import doctest
 from importlib import import_module
 
 import schurlie.derivations
+import schurlie.freegroup
 import schurlie.freelie
 import schurlie.linalg
 import schurlie.schur
@@ -15,6 +16,11 @@ def test_words_doctests():
 
 def test_derivations_doctests():
     failures, tried = doctest.testmod(schurlie.derivations)
+    assert tried and not failures
+
+
+def test_freegroup_doctests():
+    failures, tried = doctest.testmod(schurlie.freegroup)
     assert tried and not failures
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -232,9 +232,18 @@ def test_johnson_image_reads_the_series_layers(monkeypatch):
     # a series that does not start at 1 is an internal fault, not bad input
     layers = freegroup._magnus_layers
     monkeypatch.setattr(freegroup, "_magnus_layers",
-                        lambda w, t: [{(): 2}] + layers(w, t)[1:])
+                        lambda w, t, base: [{0: 2}] + layers(w, t, base)[1:])
     with pytest.raises(InternalInvariantError):
         johnson_image(chi, 1)
+
+
+@pytest.mark.parametrize("images", [[(), (2,), (3,)], [(2,), (1,), (3,)]])
+def test_johnson_image_of_an_endomorphism_moving_in_degree_one(images):
+    # x_1 -> () has an empty shell and an empty core; the letter swap has a
+    # one-letter core other than x_1
+    with pytest.raises(NotInFiltration, match=r"^x_1 moves in degree 1; "
+                                              r"automorphism is not at depth 1$"):
+        johnson_image(EndoOnFree(3, images), 1)
 
 
 def test_johnson_bracket_compatibility_exhaustive():
@@ -281,12 +290,16 @@ def _left_normed_levels(a, b, depth):
 
 def _johnson_by_magnus(alpha, m):
     """johnson_image from the public magnus of each x_i^-1 alpha(x_i): its
-    degrees 1..m vanish, and its degree-(m+1) part decomposes."""
+    degrees 1..m vanish, else NotInFiltration names the lowest one, and its
+    degree-(m+1) part decomposes."""
     n = alpha.n
     images = []
     for i in range(1, n + 1):
         series = magnus(word_mul((-i,), alpha.images[i - 1]), m + 1)
-        assert not [u for u, _ in series.items() if 0 < len(u) <= m]
+        moved = [len(u) for u, _ in series.items() if 0 < len(u) <= m]
+        if moved:
+            raise NotInFiltration(
+                f"x_{i} moves in degree {min(moved)}; automorphism is not at depth {m}")
         top = {u: c for u, c in series.items() if len(u) == m + 1}
         images.append(decompose(n, TensorElement(m + 1, top)))
     return Derivation(n, m + 1, images)
@@ -307,6 +320,54 @@ def test_johnson_image_matches_magnus_oracle(first, second):
                     unmoved += 1
                     assert image.image(i) == zero_lie(n, m + 1)
     assert unmoved  # each pair here fixes a generator, so the skip is reached
+
+
+def _johnson_outcome(johnson, alpha, m):
+    """johnson(alpha, m), or the message of its NotInFiltration."""
+    try:
+        return johnson(alpha, m)
+    except NotInFiltration as exc:
+        return str(exc)
+
+
+def _commutator_autos(n):
+    return [commutator_auto(n, i, s, t)
+            for i, s, t in permutations(range(1, n + 1), 3) if s < t]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_johnson_image_of_products_matches_magnus_oracle(n):
+    # products of named automorphisms give images with nonempty shells and
+    # cores of several letters, e.g. x_1 -> x_2^-1 x_1 [x_2, x_3] x_2
+    autos = ([conjugating_auto(n, i, j) for i, j in permutations(range(1, n + 1), 2)]
+             + _commutator_autos(n))
+    split = 0
+    for alpha, beta in product(autos, repeat=2):
+        endo = (alpha * beta).fwd
+        for v in endo.images:
+            shell, core = freegroup._shell_split(v)
+            split += bool(shell) and len(core) > 1
+        for m in (1, 2):
+            assert (_johnson_outcome(johnson_image, endo, m)
+                    == _johnson_outcome(_johnson_by_magnus, endo, m))
+    assert split
+
+
+def test_johnson_image_of_commutator_autos_matches_magnus_oracle():
+    for n in (3, 4):
+        for theta in _commutator_autos(n):
+            assert johnson_image(theta, 1) == _johnson_by_magnus(theta.fwd, 1)
+
+
+@pytest.mark.parametrize("first, second", [((1, 2), (2, 3)), ((1, 2), (2, 1)),
+                                           ((1, 2), (1, 3)), ((1, 3), (3, 2))])
+def test_johnson_image_at_the_guard_matches_magnus_oracle(first, second):
+    # the deepest left-normed commutators need truncation at the guard
+    n = 3
+    a, b = conjugating_auto(n, *first), conjugating_auto(n, *second)
+    for m, level in _left_normed_levels(a, b, MAGNUS_TRUNCATION_GUARD - 1).items():
+        for c, _, _ in level:
+            assert johnson_image(c, m) == _johnson_by_magnus(c.fwd, m)
 
 
 def test_commutator_inverse_is_the_reversed_commutator():
