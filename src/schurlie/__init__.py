@@ -20,7 +20,7 @@ from .freelie import (GroupRingElement, LieElement, bracketing_function,
 from .schur import (SchurElement, apply_to_lie, basis, is_equivariant,
                     letter_substitution)
 from .transfer import (GradedSchurElement, boxtimes, coset_transversal,
-                       operad_compose, star, transfer)
+                       operad_compose, star)
 from .derivations import (Derivation, apply_derivation, commutator_derivation,
                           conjugating_derivation, der_bracket,
                           find_annihilating_schur, generator_derivation,

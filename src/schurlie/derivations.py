@@ -52,10 +52,11 @@ basis is unitriangular).  Every row that grew a lattice, a spanning set of
 it, has all its images queued, so an empty worklist leaves a Z-span closed
 under generators of the algebra: a submodule, which is why a row that its
 lattice already holds needs no images, and a row already added to its
-lattice is passed over before the lattice sees it.  Hermite normal form is
-unique to the span, so every order of seeds and worklist ends with the same
-rows in every block, and a saturated degree with the unit vectors: stopping
-there changes nothing that a later degree reads.
+lattice is passed over before the lattice sees it.  A lattice grows in
+echelon form and reads its rows in Hermite normal form, which is unique to
+the span, so every order of seeds and worklist ends with the same rows in
+every block, and a saturated degree with the unit vectors: stopping there
+changes nothing that a later degree reads.
 
 The table of E_i or F_i on a block is read off coefficients at Lyndon
 words, with no Leibniz pass and no decomposition.  embed(P_l), P_l the

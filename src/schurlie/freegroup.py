@@ -53,11 +53,6 @@ def reduce_word(seq):
     for a in seq:
         if not isinstance(a, int) or a == 0:
             raise InvalidArgument(f"group-word letters are nonzero integers: {a!r}")
-    return _reduce(seq)
-
-
-def _reduce(seq):
-    """reduce_word for letters already known to be nonzero integers."""
     out = []
     for a in seq:
         if out and out[-1] == -a:

@@ -1,13 +1,13 @@
 """Exact dense linear algebra over the integers.
 
-An incremental integer lattice kept in Hermite normal form, for ranks and
-saturation checks, and one in-place Smith normal form whose transforms ride
-along as a border of the matrix (Cohen, 1993, section 2.4), for divisors and
-divisibility-aware solving.  Everything stays well under a thousand rows
-and columns, so the implementations favour clarity.
+An incremental integer lattice, grown in echelon form and read in Hermite
+normal form, for ranks and saturation checks, and one in-place Smith normal
+form whose transforms ride along as a border of the matrix (Cohen, 1993,
+section 2.4), for divisors and divisibility-aware solving.  Everything stays
+well under a thousand rows and columns, so the implementations favour clarity.
 """
 
-from bisect import bisect, bisect_left, insort
+from bisect import bisect, insort
 from itertools import compress
 
 from .errors import InternalInvariantError
@@ -32,15 +32,15 @@ def _xgcd(a, b):
 
 
 class IntegerLattice:
-    """Row span over Z, kept in Hermite normal form.
+    """Row span over Z, stored in echelon form, read in Hermite normal form.
 
-    Each row's first nonzero entry (its pivot) is positive, no two rows share
-    a pivot column, and every other entry of a pivot column lies in
-    [0, pivot).  The rows live in a dict keyed by pivot column; rows lists
-    them in pivot order.  The form is unique to the span, so Z^dim has the
-    unit vectors as its rows, and the lattice is Z^dim exactly when it has
-    dim rows, all with pivot 1.  add() returns True exactly when the lattice
-    strictly grows.
+    Each row's first nonzero entry (its pivot) is positive and no two rows
+    share a pivot column, so ranks, growth and Z^dim (dim rows, all with
+    pivot 1) need no more.  Hermite form also puts every other entry of a
+    pivot column in [0, pivot): add() does so for the rows it changed, and
+    the first read of rows after an add for all rows, so rows lists the form
+    unique to the span.  Without add()'s part, entries blow up: at n = 2 the
+    mtilde closure's largest rose from 126 to 7 253 934 by degree 8.
 
     >>> lat = IntegerLattice(3)
     >>> lat.add([2, 3, 1]), lat.add([0, 4, 2]), lat.add([0, 6, 0])
@@ -49,15 +49,25 @@ class IntegerLattice:
     [[2, 1, 3], [0, 2, 4], [0, 0, 6]]
     >>> lat.add([2, 3, 1]), lat.elementary_divisors()
     (False, [1, 2, 12])
+    >>> lat = IntegerLattice(2)
+    >>> lat.add([1, 5]), lat.add([0, 3])
+    (True, True)
+    >>> lat.rows  # [1, 5] held 5 at the later pivot 3 until this read
+    [[1, 2], [0, 3]]
     """
 
     def __init__(self, dim):
         self.dim = dim
         self._rows = {}  # pivot column -> row
         self._pivots = []  # the pivot columns, increasing
+        self._hermite = True  # False while some row may be out of range
 
     @property
     def rows(self):
+        if not self._hermite:
+            for k, c in enumerate(self._pivots):
+                self._reduce(self._rows[c], k + 1)
+            self._hermite = True
         return [self._rows[c] for c in self._pivots]
 
     def rank(self):
@@ -69,8 +79,8 @@ class IntegerLattice:
     def add(self, vec):
         """Reduce vec at its leading entry, row by row: divide exactly, or
         take a gcd step that replaces the row (the lattice grows); where no
-        row has that pivot, vec goes in as a row.  Then restore the normal
-        form at the rows that changed."""
+        row has that pivot, vec goes in as a row.  Then reduce the rows that
+        changed at every later pivot."""
         if len(vec) != self.dim:
             raise InternalInvariantError(
                 f"vector of length {len(vec)} in a dim-{self.dim} lattice")
@@ -99,32 +109,18 @@ class IntegerLattice:
                 row[c:] = [s * y + t * x for x, y in zip(v[c:], tail)]
                 v[c:] = [a * x - b * y for x, y in zip(v[c:], tail)]
                 touched.append(c)  # pivot value shrank: strictly larger lattice
-        if touched:
-            self._normalize(touched)
+        for c in touched:
+            self._reduce(rows[c], bisect(self._pivots, c))
+            self._hermite = False
         return bool(touched)
 
-    def _normalize(self, touched):
-        """Bring every pivot column's other entries back into [0, pivot)
-        after the rows at the touched pivot columns changed.  Whether an
-        entry is in range depends only on its own row and its column's
-        pivot, so a touched row is reduced at every later pivot, and any
-        other row only from the first touched column that it holds out of
-        range on."""
-        rows, pivots = self._rows, self._pivots
-        for k, c in enumerate(pivots):
-            row = rows[c]
-            if c in touched:
-                start = k + 1
-            else:
-                out = next((t for t in touched[bisect(touched, c):]
-                            if not 0 <= row[t] < rows[t][t]), None)
-                if out is None:
-                    continue
-                start = bisect_left(pivots, out)
-            for t in pivots[start:]:
-                f = row[t] // rows[t][t]
-                if f:
-                    row[t:] = [x - f * y for x, y in zip(row[t:], rows[t][t:])]
+    def _reduce(self, row, start):
+        """Bring row's entries at the pivot columns pivots[start:] in range."""
+        rows = self._rows
+        for t in self._pivots[start:]:
+            f = row[t] // rows[t][t]
+            if f:
+                row[t:] = [x - f * y for x, y in zip(row[t:], rows[t][t:])]
 
     def full_unimodular(self):
         """True when the lattice is all of Z^dim."""

@@ -1,11 +1,12 @@
 import doctest
-from importlib import import_module
+import types
 
 import schurlie.derivations
 import schurlie.freegroup
 import schurlie.freelie
 import schurlie.linalg
 import schurlie.schur
+import schurlie.transfer
 import schurlie.words
 
 
@@ -40,6 +41,6 @@ def test_schur_doctests():
 
 
 def test_transfer_doctests():
-    # the package re-exports the function transfer under the module's name
-    failures, tried = doctest.testmod(import_module("schurlie.transfer"))
+    assert isinstance(schurlie.transfer, types.ModuleType)
+    failures, tried = doctest.testmod(schurlie.transfer)
     assert tried and not failures

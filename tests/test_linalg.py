@@ -256,6 +256,7 @@ def test_lattice_matches_echelon_oracle_on_random_input():
     for _ in range(200):
         dim = rng.randint(1, 6)
         lat, oracle = IntegerLattice(dim), EchelonLattice(dim)
+        unread = IntegerLattice(dim)  # its rows are read only at the end
         for _ in range(rng.randint(1, 8)):
             # sparse, scaled and often starting late, so the draw meets
             # leading entries that do not divide each other and negative ones
@@ -267,10 +268,16 @@ def test_lattice_matches_echelon_oracle_on_random_input():
             negative_leads += lead < 0
             rank_before = lat.rank()
             grew = lat.add(v)
-            assert grew == oracle.add(v), v
+            assert grew == oracle.add(v) == unread.add(v), v
             gcd_steps += grew and lat.rank() == rank_before
             _assert_hermite(lat)
             _assert_same_lattice(lat, oracle)
+            assert unread.rank() == lat.rank()
+            assert unread.full_unimodular() == lat.full_unimodular()
+        # the Hermite form is unique to the span, so it cannot depend on
+        # when the rows were read
+        assert unread.rows == lat.rows
+        _assert_same_lattice(unread, oracle)
         for row in oracle.rows:
             assert not lat.add(row)  # the same span, not just the same invariants
         for row in lat.basis_rows():
@@ -319,6 +326,25 @@ def test_lattice_matches_echelon_oracle_on_closure_adds(monkeypatch, n, p):
             offset += oracle.dim
         assert width == entry["full_rank"]
         assert smith_normal_form(diagonal, len(diagonal), width) == entry["elementary_divisors"]
+
+
+def test_lattice_entries_stay_bounded_on_closure_adds(monkeypatch):
+    # add reduces the rows it changes, so the stored rows, read from _rows
+    # and so without the Hermite pass of rows, stay as small as the vectors
+    # fed in
+    largest = {"stored": 0, "added": 0}
+
+    class Recording(IntegerLattice):
+        def add(self, vec):
+            grew = super().add(vec)
+            largest["added"] = max(largest["added"], *map(abs, vec))
+            largest["stored"] = max([largest["stored"]]
+                                    + [abs(x) for row in self._rows.values() for x in row])
+            return grew
+
+    monkeypatch.setattr(derivations, "IntegerLattice", Recording)
+    schur_closure_rank(2, mtilde_generators(2), 8)
+    assert 0 < largest["stored"] <= largest["added"], largest
 
 
 def _minor_gcd_divisors(A):
