@@ -314,13 +314,15 @@ def find_annihilating_schur(n, i, j, u):
     coefficients.  Only block_u's own block is built: its rows are the
     distinct rearrangements v of block_u, its columns the keys
     stabilizer_orbit_key(block_u, v) they reach, sorted, and one integer
-    solve over that block does the rest.  The cells are read off one pass
-    over the pairs (x, v), x a word of fix: with sigma the permutation that
-    places block_u onto x, the coefficient of x goes to row v.sigma and
-    column key of v.  This is exact: {block_u: {key: 1}} sends x =
-    block_u.sigma to orbit_sum(block_u, key) moved by sigma, so the words
-    v.sigma of that image are those with v in key's stabilizer orbit, that
-    is, with key of v equal to key.
+    solve over that block does the rest.  That layout, with the column of
+    each v, depends on block_u alone, so it is built once per block and
+    shared by every (i, j, u) whose fix lies there.  The cells are read off
+    one pass over the pairs (x, v), x a word of fix: with sigma the
+    permutation that places block_u onto x, the coefficient of x goes to
+    row v.sigma and column key of v.  This is exact: {block_u: {key: 1}}
+    sends x = block_u.sigma to orbit_sum(block_u, key) moved by sigma, so
+    the words v.sigma of that image are those with v in key's stabilizer
+    orbit, that is, with key of v equal to key.
 
     A solution always exists: minus the weight idempotent, {block_u:
     {block_u: -1}}, is -1 on the words of block_u's multidegree and 0 on all
@@ -346,16 +348,12 @@ def find_annihilating_schur(n, i, j, u):
     annihilate = _tensor(q, coeffs)
 
     block_u = sorted_rep(next(iter(fix._coeffs)))
-    word_list = rearrangements(block_u)
-    key_of = {v: stabilizer_orbit_key(block_u, v) for v in word_list}
-    keys = sorted(set(key_of.values()))
-    col_of = {key: c for c, key in enumerate(keys)}
-    row_of = {w: r for r, w in enumerate(word_list)}
+    word_list, keys, row_of, cells = _solve_layout(block_u)
     rows = [[0] * len(keys) for _ in word_list]
     for x, c in fix._coeffs.items():
         place = _placer(perm_sorting_onto(block_u, x))
-        for v, key in key_of.items():
-            rows[row_of[place(v)]][col_of[key]] += c
+        for v, col in cells:
+            rows[row_of[place(v)]][col] += c
     rhs = [-fix.coeff(w) for w in word_list]
     solution = solve_integer(rows, rhs)
     if solution is None:
@@ -367,6 +365,20 @@ def find_annihilating_schur(n, i, j, u):
     if h.apply(fix) != -fix:
         raise InternalInvariantError("fixing condition violated")
     return h
+
+
+@lru_cache(maxsize=None)
+def _solve_layout(block_u):
+    """The block system's layout for the sorted word block_u: its rows, the
+    rearrangements of block_u; its columns, their stabilizer orbit keys,
+    sorted; the row of each rearrangement; and the cells (v, column of v's
+    key), one per rearrangement v."""
+    word_list = rearrangements(block_u)
+    key_of = {v: stabilizer_orbit_key(block_u, v) for v in word_list}
+    keys = sorted(set(key_of.values()))
+    col_of = {key: c for c, key in enumerate(keys)}
+    row_of = {w: r for r, w in enumerate(word_list)}
+    return word_list, keys, row_of, [(v, col_of[key]) for v, key in key_of.items()]
 
 
 # ---------------------------------------------------------------------------

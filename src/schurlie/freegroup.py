@@ -21,10 +21,11 @@ Conventions, fixed here and relied on throughout:
     degree m and the core c to degree m+1 in codes of one base, and decodes
     only the degree-(m+1) layer of C B - B A, with A, B, C the series of
     x_i, h and c (see johnson_image);
-  * an endomorphism substitutes and reduces in one pass, and a commutator
-    of AutPairs composes its inverse only when .inv is first read; the
-    named conjugating automorphisms are built, and their inverse checked,
-    once per (n, i, j).
+  * an endomorphism substitutes and reduces in one pass, building the
+    inverse of a generator's image when an inverse letter first needs it,
+    and a commutator of AutPairs composes its inverse only when .inv is
+    first read; the named conjugating automorphisms are built, and their
+    inverse checked, once per (n, i, j).
 
 Together these make the depth-m Johnson image a Lie morphism on the nose:
 the image of a group commutator is the derivation bracket of the images.
@@ -84,8 +85,8 @@ def word_commutator(a, b):
 class EndoOnFree:
     """An endomorphism given by generator images (invertibility unchecked).
 
-    The inverses of the images are built on the first apply and kept in a
-    slot that == and hash do not read."""
+    The inverse of each image is built when an inverse letter first needs
+    it and kept in a slot that == and hash do not read."""
 
     __slots__ = ("n", "images", "_inverse_images")
 
@@ -128,10 +129,15 @@ class EndoOnFree:
         images = self.images
         inverses = self._inverse_images
         if inverses is None:
-            inverses = self._inverse_images = tuple(map(word_inv, images))
+            inverses = self._inverse_images = [None] * self.n
         out = []
         for a in w:
-            img = images[a - 1] if a > 0 else inverses[-a - 1]
+            if a > 0:
+                img = images[a - 1]
+            else:
+                img = inverses[-a - 1]
+                if img is None:
+                    img = inverses[-a - 1] = word_inv(images[-a - 1])
             k = 0
             while out and k < len(img) and out[-1] == -img[k]:
                 out.pop()

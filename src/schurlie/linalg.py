@@ -143,14 +143,23 @@ def smith_normal_form(m, nrows, ncols):
 
     Row operations act on whole rows and column operations on whole columns,
     but every choice reads only the block: a right border B of the block rows
-    ends as U*B, and an identity border below the block ends as V.
+    ends as U*B, and an identity border below the block ends as V.  Each
+    round's pivot is the first entry of least size in row-major order; no
+    nonzero entry is smaller than 1, so the search stops at the first 1.
+
+    >>> m = [[2, -1, 5], [1, 0, 7], [1, 0], [0, 1]]
+    >>> smith_normal_form(m, 2, 2)
+    [1, 1]
+    >>> m  # the first pivot is the -1 at (0, 1): V swapped columns 0 and 1
+    [[1, 0, -5], [0, 1, 7], [0, 1], [1, 2]]
     """
     def row_op(i, q, k):  # row_i -= q * row_k
         m[i] = [a - q * b for a, b in zip(m[i], m[k])]
 
     def col_op(j, q, k):  # col_j -= q * col_k
         for row in m:
-            row[j] -= q * row[k]
+            if row[k]:
+                row[j] -= q * row[k]
 
     def row_swap(i, k):
         m[i], m[k] = m[k], m[i]
@@ -159,13 +168,19 @@ def smith_normal_form(m, nrows, ncols):
         for row in m:
             row[j], row[k] = row[k], row[j]
 
+    def least_entry(top):  # the pivot rule, in the docstring
+        best = size = None
+        for i in range(top, nrows):
+            for j, a in enumerate(m[i][top:ncols], top):
+                if a and (best is None or abs(a) < size):
+                    best, size = (i, j), abs(a)
+                    if size == 1:
+                        return best
+        return best
+
     top = 0
     while top < min(nrows, ncols):
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+        best = least_entry(top)
         if best is None:
             break
         row_swap(top, best[0])
@@ -191,11 +206,12 @@ def smith_normal_form(m, nrows, ncols):
         if m[top][top] < 0:
             m[top] = [-a for a in m[top]]
         d = m[top][top]
-        stray = next(((i, j) for i in range(top + 1, nrows)
-                      for j in range(top + 1, ncols) if m[i][j] % d), None)
-        if stray is not None:
-            row_op(top, -1, stray[0])  # fold the offending row in, then redo
-            continue
+        if d != 1:  # every entry is a multiple of 1
+            stray = next((i for i in range(top + 1, nrows)
+                          for j in range(top + 1, ncols) if m[i][j] % d), None)
+            if stray is not None:
+                row_op(top, -1, stray)  # fold the offending row in, then redo
+                continue
         top += 1
     diag = [m[k][k] for k in range(min(nrows, ncols)) if m[k][k]]
     for prev, nxt in zip(diag, diag[1:]):

@@ -169,16 +169,17 @@ class SchurElement(SparseCombination):
 
     def apply_word(self, w):
         """f on a single basis word, via f(u.sigma) = f(u).sigma, where u is
-        sorted(w) and sigma the stable argsort of w."""
+        sorted(w) and sigma the stable argsort of w, computed only when f(u)
+        is nonzero and u != w."""
         w = tuple(w)
         if len(w) != self.q:
             raise DimensionMismatch(f"word of length {len(w)} under a degree-{self.q} map")
-        order = sorted(range(len(w)), key=w.__getitem__)
-        u = tuple([w[t] for t in order])
+        u = tuple(sorted(w))
         col = self.column(u)
         if u == w or col.is_zero():
             return col
-        return col.act(tuple([t + 1 for t in order]))
+        sigma = tuple([t + 1 for t in sorted(range(len(w)), key=w.__getitem__)])
+        return col.act(sigma)
 
     def apply(self, t):
         """Linear action on a tensor of matching degree."""

@@ -429,6 +429,10 @@ LEMMA425_PINS = {
         "7645e83f3e1c67066f5b611fa787f8af5fca0740d6c2c41518b095fd0132e00f",
     "lemma425 --n 5 --max-degree 3":
         "82e91a03ee98970589850319c9ce48182bc3283ed26bb097e94b981aee2af168",
+    # the largest rank-2 solver size, pinned to the solver that searched the
+    # whole block for each Smith pivot and built each block system per call
+    "lemma425 --n 2 --max-degree 8":
+        "dcfeb78d0ff7b66d996e5f189a237f8bf1a724108a21e5b27accfc19b6d75a5c",
 }
 
 

@@ -113,6 +113,26 @@ def test_apply_matches_two_pass_oracle(case):
     assert endo.apply(w) == _apply_two_pass(images, w)  # the cached inverses
 
 
+def test_inverse_images_built_on_first_use():
+    # apply builds the inverse of an image only when an inverse letter first
+    # needs it, and each result is the letter-by-letter substitution, reduced
+    rng = random.Random(31)
+    for n in range(1, 5):
+        letters = [a for a in range(-n, n + 1) if a]
+        images = [reduce_word(rng.choices(letters, k=rng.randint(0, 5)))
+                  for _ in range(n)]
+        endo = EndoOnFree(n, images)
+        needed = set()
+        for _ in range(30):
+            w = reduce_word(rng.choices(letters, k=rng.randint(1, 10)))
+            needed.update(-a for a in w if a < 0)
+            assert endo.apply(w) == _apply_two_pass(images, w)
+            built = {k + 1 for k, inv in enumerate(endo._inverse_images or ())
+                     if inv is not None}
+            assert built == needed
+        assert needed
+
+
 def test_cached_inverse_images_stay_out_of_equality():
     fresh = EndoOnFree(3, [(-2, 1, 2), (2,), (3,)])
     used = EndoOnFree(3, [(-2, 1, 2), (2,), (3,)])

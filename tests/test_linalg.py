@@ -3,9 +3,10 @@ from itertools import islice, product
 
 import pytest
 
+import smith_oracle
 from echelon_lattice import EchelonLattice
 from rational_linalg import nullspace, rank, rref
-from schurlie import derivations
+from schurlie import derivations, suites
 from schurlie.derivations import mtilde_generators, schur_closure_rank
 from schurlie.linalg import IntegerLattice, smith_normal_form, solve_integer
 
@@ -377,3 +378,47 @@ def test_smith_matches_minor_gcd_oracle():
         assert _smith_diagonal(A) == _minor_gcd_divisors(A)
     assert _smith_diagonal([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) \
         == _minor_gcd_divisors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+
+
+def _assert_smith_as_oracle(A, B):
+    """The Smith form of A bordered by B on the right and by I below, as
+    solve_integer borders it, and the solve of A x = B's first column equal
+    the kept oracle's: the same diagonal, the same whole bordered matrix, so
+    the same operations, and the same solution."""
+    m, k = len(A), len(A[0])
+    M = [list(a) + list(b) for a, b in zip(A, B)] + _identity(k)
+    O = [list(r) for r in M]
+    assert smith_normal_form(M, m, k) == smith_oracle.smith_normal_form(O, m, k)
+    assert M == O
+    rhs = [b[0] for b in B]
+    assert solve_integer(A, rhs) == smith_oracle.solve_integer(A, rhs)
+
+
+def test_smith_matches_kept_oracle_on_random_bordered_input():
+    # sparse entries of every size up to 9, so that a pivot of size 2 or
+    # more often comes before a 1 in row-major order, and strays are folded
+    rng = random.Random(31)
+    for _ in range(2000):
+        m, k, w = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 2)
+        top = rng.choice([2, 4, 9])
+        A = [[rng.choice([0, 0, rng.randint(-top, top)]) for _ in range(k)]
+             for _ in range(m)]
+        B = [[rng.randint(-9, 9) for _ in range(w)] for _ in range(m)]
+        _assert_smith_as_oracle(A, B)
+
+
+@pytest.mark.parametrize("n, max_degree", [(2, 8), (3, 5), (4, 4), (5, 3)])
+def test_smith_matches_kept_oracle_on_lemma425_systems(monkeypatch, n, max_degree):
+    # every block system that the lemma425 suite solves at this size
+    systems = []
+
+    def recording_solve(rows, rhs):
+        systems.append((rows, rhs))
+        return solve_integer(rows, rhs)
+
+    monkeypatch.setattr(derivations, "solve_integer", recording_solve)
+    for _, i, j, tree in suites._pairs_and_monomials(n, 2, max_degree):
+        derivations.find_annihilating_schur(n, i, j, tree)
+    assert systems
+    for rows, rhs in systems:
+        _assert_smith_as_oracle(rows, [[b] for b in rhs])
