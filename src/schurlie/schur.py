@@ -13,8 +13,8 @@ elements columns are built for.  The stabilizer orbit of each pair (u, key),
 from the runs of equal letters of u, is enumerated once per process (_orbit,
 cached): a column sets each word of each key's orbit to that key's
 coefficient, with no sum, as the orbits of distinct keys are disjoint;
-orbit_data_of_column checks that a column holds whole orbits by counting
-each key's words against its orbit's length; and transfer.young_subgroup
+orbit_data_of_column reads one key per orbit and walks that orbit to check
+that the column holds it whole, with one value; and transfer.young_subgroup
 is the orbit of the identity under a marker word.
 
 Word-by-word column maps are built only for equivariance checks, over the
@@ -38,6 +38,7 @@ from .words import (SparseCombination, TensorElement, _linear_combination,
                     stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest degree the equivariance checks accept
+EQUIVARIANCE_PAIR_GUARD = 10_000_000  # (word, word) pairs swept, about 4 us each
 SCHUR_BASIS_GUARD = 100_000  # largest basis built, about 2 s of output
 
 
@@ -260,26 +261,34 @@ def orbit_data_of_column(u, col):
 
     The key of a word w is stabilizer_orbit_key(u, w): w with its letters
     sorted inside each run of two or more equal letters of u (_long_runs,
-    cached per u).  A key's value must be the same on each of its words, and
-    the words must number len(_orbit(u, key)), the whole orbit."""
+    cached per u).  It is computed once per orbit, at the first word of the
+    orbit met: the orbit's words (_orbit, cached) are then walked once, and
+    each must be in the column with the same value.  When u has no such run,
+    every orbit is one word and the row is the column itself."""
+    coeffs = col._coeffs
     runs = _long_runs(u)
+    if not runs:
+        return dict(coeffs)
     row = {}
-    count = {}
-    for w, c in col._coeffs.items():
-        key = w
-        if runs:
-            key = list(w)
-            for run in runs:
-                key[run] = sorted(key[run])
-            key = tuple(key)
-        if row.setdefault(key, c) != c:
-            raise InternalInvariantError(
-                f"column at {u!r} is not constant on stabilizer orbits")
-        count[key] = count.get(key, 0) + 1
-    for key, k in count.items():
-        if len(_orbit(u, key)) != k:
-            raise InternalInvariantError(
-                f"column at {u!r} misses part of the orbit of {key!r}")
+    seen = set()
+    for w, c in coeffs.items():
+        if w in seen:
+            continue
+        key = list(w)
+        for run in runs:
+            key[run] = sorted(key[run])
+        key = tuple(key)
+        orbit = _orbit(u, key)
+        for x in orbit:
+            value = coeffs.get(x)
+            if value is None:
+                raise InternalInvariantError(
+                    f"column at {u!r} misses part of the orbit of {key!r}")
+            if value != c:
+                raise InternalInvariantError(
+                    f"column at {u!r} is not constant on stabilizer orbits")
+        seen.update(orbit)
+        row[key] = c
     return row
 
 
@@ -348,6 +357,21 @@ def is_equivariant(colmap, n, q):
             if image is None or image._coeffs != {swap(v): c for v, c in coeffs.items()}:
                 return False
     return True
+
+
+def check_equivariance_sweep(n, max_degree):
+    """Refuse a sweep of every basis element of degrees 0..max_degree through
+    is_equivariant above its degree guard, or when its (word, word) pairs
+    number more than EQUIVARIANCE_PAIR_GUARD: at degree q the basis elements'
+    rearranged words and their images' orbit words pair up n^q by n^q.  The
+    degree is checked first, with is_equivariant's message."""
+    if max_degree > EQUIVARIANCE_GUARD:
+        raise ResourceGuardExceeded(f"equivariance check limited to degree {EQUIVARIANCE_GUARD}")
+    pairs = sum(n ** (2 * q) for q in range(max_degree + 1))
+    if pairs > EQUIVARIANCE_PAIR_GUARD:
+        raise ResourceGuardExceeded(
+            f"equivariance check up to degree {max_degree} at rank {n} sweeps {pairs} "
+            f"word pairs, above {EQUIVARIANCE_PAIR_GUARD}")
 
 
 def schur_is_equivariant(f):

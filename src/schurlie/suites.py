@@ -21,8 +21,9 @@ from .freegroup import (classify_pair, commutator_auto, conjugating_auto,
 from .freelie import (embed, lie_bracket, lyndon_basis, monomial_str,
                       normalize, specht_wever)
 from .schur import (SchurElement, basis, basis_dimension_formula,
-                    decompose_in_basis, equivariant_basis_bruteforce,
-                    orbit_keys, schur_is_equivariant)
+                    check_equivariance_sweep, decompose_in_basis,
+                    equivariant_basis_bruteforce, orbit_keys,
+                    schur_is_equivariant)
 from .transfer import (GradedSchurElement, boxtimes, is_left_transversal,
                        operad_compose, random_transversal, star, transfer,
                        transversal_by_product)
@@ -67,6 +68,7 @@ def _pairs_and_monomials(n, low, max_degree):
 def run_equivariance(n=3, max_degree=4, seed=0):
     """Every element built from orbit data commutes with all place
     permutations, checked exhaustively per degree."""
+    check_equivariance_sweep(n, max_degree)
     instances = []
     # top degree first: the guards grow with the degree, so they refuse early
     for q in range(max_degree, -1, -1):

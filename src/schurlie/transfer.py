@@ -11,15 +11,24 @@ well-definedness tests.  A transversal given by the caller is checked to be
 one.
 
 transfer evaluates the sum only on the sorted words u that hold the letters
-of one support word per factor, in one loop over the transversal.  Each
-sigma has two cached placers (words._placer): one reads u . sigma^{-1}
-straight off u, the other places a concatenated image word by sigma.  The
-canonical transversal's pairs are collected once per composition and
-cached; a transversal given by the caller gets its own per call.  Each
-factor's image of a block word is computed once per call, and the
-concatenated product of the blocks of one word u . sigma^{-1} once per u:
-every sigma that reads the same blocks off u reuses it, and only its
-placement is redone.  The placed terms go into one coefficient dict per u.
+of one support word per factor.  Each sigma has two cached placers
+(words._placer): one reads u . sigma^{-1} straight off u, the other places a
+concatenated image word by sigma; the canonical transversal's pairs are
+collected once per composition and cached.
+
+With the canonical transversal (the default) the loop runs over the tuples
+of the factors' support words, not over the transversal: a shuffle maps
+each block increasingly, so at a sorted u every block of u . sigma^{-1} is
+sorted, and the blocks' product is nonzero only where each is a support word
+of its factor.  Each tuple's product of columns f_i(u_i) is formed once and
+placed by the shuffles that merge the blocks into their sorted letters u,
+the sigma whose read of u is the tuple's concatenation; the products of
+the other sigma, all zero, are never formed.  A transversal given by the
+caller is summed sigma by sigma at each u instead, with each block word's
+image computed once per call and each distinct u . sigma^{-1}'s product of
+images once per u: this is the path that applies each factor to unsorted
+blocks, where its equivariance is used, so comparing the two checks both.
+Either way the placed terms go into one coefficient dict per u.
 """
 
 from functools import lru_cache
@@ -124,8 +133,10 @@ def transfer(parts, fs, transversal=None):
         raise DimensionMismatch(f"factors of different ranks {sorted(ranks)}")
     n = ranks.pop()
     d = sum(parts)
+    # each factor's support words, in the order of its pairs
+    supports = [list(dict.fromkeys(u for u, _ in f._coeffs)) for f in fs]
     if transversal is None:
-        moves = _canonical_moves(parts)
+        columns = _merged_columns(fs, supports, _canonical_moves(parts))
     else:
         transversal = [tuple(sigma) for sigma in transversal]
         for sigma in transversal:
@@ -133,7 +144,41 @@ def transfer(parts, fs, transversal=None):
                 raise DimensionMismatch(f"permutation {sigma!r} in a degree-{d} transversal")
         if not is_left_transversal(transversal, parts):
             raise InvalidArgument(f"not a left transversal of the Young subgroup of {parts}")
-        moves = _moves(transversal)
+        columns = _summed_columns(parts, fs, supports, _moves(transversal))
+    pairs = {}
+    for u in sorted(columns):
+        column = TensorElement._trusted(d, {w: c for w, c in columns[u].items() if c})
+        for key, c in orbit_data_of_column(u, column).items():
+            pairs[u, key] = c
+    return SchurElement._trusted(n, d, pairs)
+
+
+def _merged_columns(fs, supports, moves):
+    """The canonical sum's columns, sorted word -> {word: coefficient}: for
+    each tuple of support words (u_1, ..., u_k), with concatenation v and
+    sorted letters u, the product of the columns f_i(u_i), placed by the
+    sigma that read v off u (the shuffles that merge the blocks into u)."""
+    columns = {}
+    for us in product(*supports):
+        terms = [((), 1)]
+        for f, block in zip(fs, us):
+            image = f.column(block)._coeffs.items()
+            terms = [(w1 + w2, c1 * c2) for w1, c1 in terms for w2, c2 in image]
+        v = sum(us, ())
+        u = tuple(sorted(v))
+        coeffs = columns.setdefault(u, {})
+        for read, place in moves:
+            if read(u) == v:
+                for w, c in terms:
+                    w = place(w)
+                    coeffs[w] = coeffs.get(w, 0) + c
+    return columns
+
+
+def _summed_columns(parts, fs, supports, moves):
+    """The sum over a given transversal's columns, sorted word ->
+    {word: coefficient}, summed sigma by sigma at each sorted u that holds
+    the letters of one support word per factor."""
     splits = []
     start = 0
     for a in parts:
@@ -141,14 +186,12 @@ def transfer(parts, fs, transversal=None):
         start += a
     # per factor, its image of each block word met so far, as (word, coeff) pairs
     images = [{} for _ in fs]
-
     # a column can be nonzero only at the sorted letters of one support word
     # per factor, whatever the transversal
-    support = {tuple(sorted(sum(us, ())))
-               for us in product(*({u for u, _ in f._coeffs} for f in fs))}
-    pairs = {}
+    support = {tuple(sorted(sum(us, ()))) for us in product(*supports)}
+    columns = {}
     for u in sorted(support):
-        coeffs = {}
+        coeffs = columns[u] = {}
         products = {}  # u . sigma^{-1} -> the product of its blocks' images
         for read, place in moves:
             v = read(u)
@@ -167,10 +210,7 @@ def transfer(parts, fs, transversal=None):
             for w, c in terms:
                 w = place(w)
                 coeffs[w] = coeffs.get(w, 0) + c
-        column = TensorElement._trusted(d, {w: c for w, c in coeffs.items() if c})
-        for key, c in orbit_data_of_column(u, column).items():
-            pairs[u, key] = c
-    return SchurElement._trusted(n, d, pairs)
+    return columns
 
 
 @lru_cache(maxsize=None)

@@ -356,6 +356,14 @@ def test_cli_verify_rejects_flag_suite_does_not_take(capsys, argv, flag):
      "cannot read element from '{\"n\":2,\"q\":1,\"entries\":[{\"u\":\"1\","
      "\"key\":\"\",\"coeff\":\"3\"}]}': "
      "orbit key () of sorted word (1,) has length 0, expected 1"),
+    # within the degree guard, the sweep's word pairs are bounded before any
+    # basis is built: these two took 164 s and 64 s when admitted
+    (["verify", "equivariance", "--n", "3", "--max-degree", "8"],
+     "equivariance check up to degree 8 at rank 3 sweeps 48427561 word pairs, "
+     "above 10000000"),
+    (["verify", "equivariance", "--n", "4", "--max-degree", "6"],
+     "equivariance check up to degree 6 at rank 4 sweeps 17895697 word pairs, "
+     "above 10000000"),
 ])
 def test_cli_rejects_numeric_flag_out_of_range(capsys, argv, message):
     assert main(argv) == 2

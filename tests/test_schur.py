@@ -5,14 +5,16 @@ from itertools import accumulate, groupby, permutations
 
 import pytest
 
+import orbit_data_oracle
 from rational_linalg import nullspace
 from schurlie.errors import (DimensionMismatch, InternalInvariantError,
                              InvalidArgument, ResourceGuardExceeded)
 from schurlie.freelie import (bracketing_function, embed, lyndon_basis,
                               monomial_from_shape, monomial_letters,
                               normalize, shape_of, specht_wever)
-from schurlie.schur import (SchurElement, apply_to_lie, basis,
-                            basis_dimension_formula, decompose_in_basis,
+from schurlie.schur import (EQUIVARIANCE_PAIR_GUARD, SchurElement,
+                            apply_to_lie, basis, basis_dimension_formula,
+                            check_equivariance_sweep, decompose_in_basis,
                             equivariant_basis_bruteforce, is_equivariant,
                             letter_substitution, orbit_keys,
                             orbit_data_of_column, orbit_sum,
@@ -226,6 +228,21 @@ def test_is_equivariant_refuses_a_column_of_another_degree():
 def test_is_equivariant_guard():
     with pytest.raises(ResourceGuardExceeded):
         is_equivariant({}, 1, 9)
+
+
+def test_equivariance_sweep_guard():
+    # the sweep pairs n^q rearranged words with n^q image words per degree q;
+    # the pinned sizes are admitted, (3, 7) with 5 380 840 pairs the largest
+    assert sum(3 ** (2 * q) for q in range(8)) == 5_380_840 <= EQUIVARIANCE_PAIR_GUARD
+    for n, max_degree in [(3, 4), (3, 5), (2, 6), (3, 7)]:
+        check_equivariance_sweep(n, max_degree)
+    for n, max_degree, pairs in [(3, 8, 48_427_561), (4, 6, 17_895_697)]:
+        with pytest.raises(ResourceGuardExceeded,
+                           match=f"sweeps {pairs} word pairs, above {EQUIVARIANCE_PAIR_GUARD}"):
+            check_equivariance_sweep(n, max_degree)
+    # the degree is checked first, with is_equivariant's message
+    with pytest.raises(ResourceGuardExceeded, match="limited to degree 8$"):
+        check_equivariance_sweep(1, 9)
 
 
 def test_compose_frozen():
@@ -450,6 +467,48 @@ def test_orbit_data_rejects_non_invariant_column():
         assert stabilizer_orbit_key(u, across) != stabilizer_orbit_key(u, w)
         with pytest.raises(InternalInvariantError, match="misses part"):
             orbit_data_of_column(u, full + TensorElement.from_word(across, 5))
+
+
+def _read_off(read, u, col):
+    """read(u, col), or the InternalInvariantError it raises."""
+    try:
+        return read(u, col)
+    except InternalInvariantError as exc:
+        return exc
+
+
+def test_orbit_walk_matches_counting_oracle():
+    # the walk computes one key per orbit; the kept oracle computes one key
+    # per word and counts.  On invariant columns they return the same row in
+    # the same order; with one word dropped or one value changed, the same
+    # row or the same error
+    rng = random.Random(31)
+    raised = set()
+    for n, q in [(2, 3), (2, 5), (3, 3), (3, 4), (4, 3), (2, 6)]:
+        us = list(sorted_words(n, q))
+        for _ in range(40):
+            u = rng.choice(us)
+            keys = orbit_keys(n, u)
+            row = {key: rng.choice([-3, -2, -1, 1, 2, 3])
+                   for key in rng.sample(keys, rng.randint(1, min(4, len(keys))))}
+            col = SchurElement(n, q, {u: row}).column(u)
+            w = rng.choice(list(col._coeffs))
+            dropped = {x: c for x, c in col._coeffs.items() if x != w}
+            changed = dict(col._coeffs)
+            changed[w] += -1 if changed[w] == -1 else 1
+            for coeffs in (col._coeffs, dropped, changed):
+                t = TensorElement._trusted(q, coeffs)
+                got = _read_off(orbit_data_of_column, u, t)
+                want = _read_off(orbit_data_oracle.orbit_data_of_column, u, t)
+                if isinstance(want, InternalInvariantError):
+                    assert type(got) is type(want) and str(got) == str(want), (u, coeffs)
+                    raised.add(next(m for m in ("misses part", "not constant")
+                                    if m in str(want)))
+                else:
+                    assert got == want and list(got) == list(want), (u, coeffs)
+            assert orbit_data_of_column(u, col) == row
+    # both errors were met
+    assert raised == {"misses part", "not constant"}
 
 
 def _orbit_by_scan(n, u, key):

@@ -305,9 +305,11 @@ def test_transfer_support_loop_matches_full_scan():
     for n, parts in cases:
         for _ in range(3):
             fs = [_rand_element(n, a, rng, entries=rng.randint(1, 3)) for a in parts]
-            for transversal in (coset_transversal(parts), random_transversal(parts, rng),
-                                transversal_by_product(parts)):
-                got = transfer(parts, fs, transversal=transversal)
+            canonical = coset_transversal(parts)
+            for given, transversal in ((None, canonical), (canonical, canonical),
+                                       (random_transversal(parts, rng),) * 2,
+                                       (transversal_by_product(parts),) * 2):
+                got = transfer(parts, fs, transversal=given)
                 want = _transfer_full_scan(parts, fs, transversal)
                 assert got == want, (n, parts, transversal)
                 # the pairs come in sorted-word order
@@ -321,13 +323,14 @@ def test_transfer_support_loop_matches_full_scan():
 
 
 def test_transfer_getters_and_product_memo_match_oracles():
-    # one case per way the per-sigma placers or the per-u product memo could
-    # go wrong: degree 1, where sigma and its placers are the identity;
-    # degree 5 with two and with four parts; and factors whose supports share
-    # sorted words, so that many sigma read the same blocks off one u.  The
-    # default transversal (None) reads its placer pairs from the
-    # per-composition cache; a given one, the canonical one included,
-    # collects its own
+    # one case per way the per-sigma placers, the merge path or the per-u
+    # product memo could go wrong: degree 1, where sigma and its placers are
+    # the identity; degree 5 with two and with four parts; and factors whose
+    # supports share sorted words, so that many sigma read the same blocks
+    # off one u.  The default transversal (None) places each product of
+    # support columns by the shuffles that merge it, with placer pairs from
+    # the per-composition cache; a given one, the canonical one included,
+    # collects its own and sums sigma by sigma, with the per-u memo
     rng = random.Random(28)
     shared = {1: {(1,): {(1,): 2, (2,): -1}},
               2: {(1, 1): {(1, 2): 1, (1, 1): 3}, (1, 2): {(2, 1): -2}},
@@ -355,6 +358,61 @@ def test_transfer_getters_and_product_memo_match_oracles():
             transversal = coset_transversal(parts)
             assert len({act(u, perm_inverse(s)) for s in transversal}) < len(transversal)
             assert not got.is_zero()
+
+
+def _merges(parts, fs):
+    """Per tuple of the factors' support words, the canonical sigma that read
+    its concatenation off its sorted letters: the shuffles that merge it."""
+    transversal = coset_transversal(parts)
+    out = {}
+    for us in product(*({u for u, _ in f._coeffs} for f in fs)):
+        v = sum(us, ())
+        u = tuple(sorted(v))
+        out[us] = [s for s in transversal if act(u, perm_inverse(s)) == v]
+    return out
+
+
+def _shared_letters(n, a, rng):
+    """An element whose sorted words are 1^a and 1^(a-1) 2: factors built
+    this way share letters, so their blocks merge in many ways."""
+    data = {}
+    for u in {(1,) * a, (1,) * (a - 1) + (2,)}:
+        keys = orbit_keys(n, u)
+        data[u] = {key: rng.choice([-3, -2, -1, 1, 2, 3])
+                   for key in rng.sample(keys, min(2, len(keys)))}
+    return SchurElement(n, a, data)
+
+
+def test_merge_path_matches_canonical_transversal_loop():
+    # transversal=None builds each column from the tuples of support words
+    # and the shuffles that merge them; the canonical transversal given
+    # explicitly runs the sigma-by-sigma loop, applying each factor to
+    # unsorted blocks, so the two are different algorithms
+    rng = random.Random(29)
+    cases = [(2, (1, 1)), (3, (2, 1)), (2, (2, 3)), (3, (1, 2)), (3, (1, 2, 1)),
+             (2, (2, 1, 2)), (3, (1, 1, 1)), (2, (1, 1, 1, 1)), (3, (1, 1, 2, 1)),
+             (2, (2, 1, 1, 2))]
+    most = 0
+    for n, parts in cases:
+        canonical = coset_transversal(parts)
+        draws = [[_rand_element(n, a, rng, entries=rng.randint(1, 4)) for a in parts]
+                 for _ in range(4)]
+        draws.append([_shared_letters(n, a, rng) for a in parts])
+        zero = rng.randrange(len(parts))
+        draws.append([SchurElement.zero(n, a) if i == zero else _shared_letters(n, a, rng)
+                      for i, a in enumerate(parts)])
+        for fs in draws:
+            got = transfer(parts, fs)
+            want = transfer(parts, fs, transversal=canonical)
+            assert got == want, (n, parts)
+            assert [u for u, _ in got._coeffs] == [u for u, _ in want._coeffs]
+            merges = _merges(parts, fs)
+            assert all(merges.values()), (n, parts)
+            most = max(most, *(len(m) for m in merges.values()), 0)
+        assert transfer(parts, draws[-1]).is_zero()
+    # some tuple of support words merges into its sorted letters in more
+    # than one way, so each of its merges counts
+    assert most >= 2
 
 
 def test_operad_identity_axioms():
