@@ -82,9 +82,9 @@ from .freelie import (LieElement, decompose, embed, embed_monomial,
                       normalize, zero_lie)
 from .linalg import IntegerLattice, smith_normal_form, solve_integer
 from .schur import SchurElement, basis_dimension_formula
-from .words import (SparseCombination, TensorElement, _placer,
-                    perm_sorting_onto, rearrangements, sorted_rep,
-                    stabilizer_orbit_key, tensor_product)
+from .words import (SparseCombination, TensorElement, _placers_onto,
+                    rearrangements, sorted_rep, stabilizer_orbit_key,
+                    tensor_product)
 
 # the closure's refusal bound on the endomorphism basis size of a degree; it
 # counts nothing the engine builds, and stands in for a bound on real cost
@@ -318,7 +318,8 @@ def find_annihilating_schur(n, i, j, u):
     each v, depends on block_u alone, so it is built once per block and
     shared by every (i, j, u) whose fix lies there.  The cells are read off
     one pass over the pairs (x, v), x a word of fix: with sigma the
-    permutation that places block_u onto x, the coefficient of x goes to
+    permutation that places block_u onto x, read as its placer from
+    words._placers_onto(block_u), the coefficient of x goes to
     row v.sigma and column key of v.  This is exact: {block_u: {key: 1}}
     sends x = block_u.sigma to orbit_sum(block_u, key) moved by sigma, so
     the words v.sigma of that image are those with v in key's stabilizer
@@ -350,8 +351,12 @@ def find_annihilating_schur(n, i, j, u):
     block_u = sorted_rep(next(iter(fix._coeffs)))
     word_list, keys, row_of, cells = _solve_layout(block_u)
     rows = [[0] * len(keys) for _ in word_list]
+    placers = _placers_onto(block_u)
     for x, c in fix._coeffs.items():
-        place = _placer(perm_sorting_onto(block_u, x))
+        place = placers.get(x)
+        if place is None:
+            raise InternalInvariantError(
+                f"fix word {x!r} is not a rearrangement of {block_u!r}")
         for v, col in cells:
             rows[row_of[place(v)]][col] += c
     rhs = [-fix.coeff(w) for w in word_list]

@@ -17,12 +17,23 @@ orbit_data_of_column reads one key per orbit and walks that orbit to check
 that the column holds it whole, with one value; and transfer.young_subgroup
 is the orbit of the identity under a marker word.
 
+A word w = u.sigma, u = sorted(w) and sigma the stable argsort of w, takes
+f(w) = f(u).sigma through the placer words._placer_onto(w), cached per word,
+so no word is argsorted twice in a process.  apply_word and apply read it
+word by word: a single word does not build the placers of its whole orbit,
+which are q! for q distinct letters.  column_map and the annihilate-and-fix
+solve of derivations visit every rearrangement of a sorted word u, and read
+them from words._placers_onto(u), one map per u.  No tensor is built per
+word: apply adds c * f(u).sigma for each word of its input into one dict,
+and column_map places each column of the support onto each of its
+rearrangements in one pass over that column's map.
+
 Word-by-word column maps are built only for equivariance checks, over the
 support of an element; the brute-force dimension oracle alone scans all n^q
 words.  The check itself builds no tensor: each adjacent transposition acts
-through its placer (words._placer), which swaps two positions of a word,
-and the column at the swapped word is compared term by term with the
-swapped pairs of the word's own column.
+through its placer (words._placer, one tuple of them per degree), which
+swaps two positions of a word, and the column at the swapped word is
+compared term by term with the swapped pairs of the word's own column.
 """
 
 import math
@@ -32,13 +43,13 @@ from itertools import groupby, product
 from .errors import (DimensionMismatch, InvalidArgument, InternalInvariantError,
                      ResourceGuardExceeded)
 from .freelie import LieElement, decompose, embed
-from .words import (SparseCombination, TensorElement, _linear_combination,
-                    _placer, check_word, perm_from_cycles, read_int,
+from .words import (SparseCombination, TensorElement, _placer, _placer_onto,
+                    _placers_onto, check_word, perm_from_cycles, read_int,
                     rearrangements, sorted_rep, sorted_words,
                     stabilizer_orbit_key, words_of)
 
 EQUIVARIANCE_GUARD = 8  # largest degree the equivariance checks accept
-EQUIVARIANCE_PAIR_GUARD = 10_000_000  # (word, word) pairs swept, about 4 us each
+EQUIVARIANCE_PAIR_GUARD = 10_000_000  # (word, word) pairs swept, about 3 us each
 SCHUR_BASIS_GUARD = 100_000  # largest basis built, about 2 s of output
 
 
@@ -170,8 +181,8 @@ class SchurElement(SparseCombination):
 
     def apply_word(self, w):
         """f on a single basis word, via f(u.sigma) = f(u).sigma, where u is
-        sorted(w) and sigma the stable argsort of w, computed only when f(u)
-        is nonzero and u != w."""
+        sorted(w) and sigma the stable argsort of w, read off as its placer
+        words._placer_onto(w) only when f(u) is nonzero and u != w."""
         w = tuple(w)
         if len(w) != self.q:
             raise DimensionMismatch(f"word of length {len(w)} under a degree-{self.q} map")
@@ -179,22 +190,35 @@ class SchurElement(SparseCombination):
         col = self.column(u)
         if u == w or col.is_zero():
             return col
-        sigma = tuple([t + 1 for t in sorted(range(len(w)), key=w.__getitem__)])
-        return col.act(sigma)
+        return col._placed(_placer_onto(w))
 
     def apply(self, t):
-        """Linear action on a tensor of matching degree."""
+        """Linear action on a tensor of matching degree: each word w of t,
+        u = sorted(w), adds its coefficient times f(u) placed onto w
+        (words._placer_onto) into one dict, with no tensor per word."""
         if t.degree != self.q:
             raise DimensionMismatch(
                 f"degree-{t.degree} tensor under a degree-{self.q} map")
-        return _linear_combination(self.q, ((c, self.apply_word(w))
-                                            for w, c in t._coeffs.items()))
+        coeffs = {}
+        for w, k in t._coeffs.items():
+            col = self.column(sorted(w))._coeffs
+            if col:
+                place = _placer_onto(w)
+                for v, c in col.items():
+                    x = place(v)
+                    coeffs[x] = coeffs.get(x, 0) + k * c
+        return TensorElement._trusted(self.q, {x: c for x, c in coeffs.items() if c})
 
     def column_map(self):
         """Column map over the basis words with a nonzero image (word ->
-        image tensor): the rearrangements of the sorted words of the pairs."""
-        return {w: self.apply_word(w) for u in {u for u, _ in self._coeffs}
-                for w in rearrangements(u)}
+        image tensor): the rearrangements w of the sorted words u of the
+        pairs, f(u) placed onto each w, one pass over _placers_onto(u) per u."""
+        out = {}
+        for u in {u for u, _ in self._coeffs}:
+            col = self.column(u)
+            for w, place in _placers_onto(u).items():
+                out[w] = col if w == u else col._placed(place)
+        return out
 
     def compose(self, other):
         """Endomorphism composition self after other, back in orbit form."""
@@ -329,7 +353,8 @@ def is_equivariant(colmap, n, q):
     it, and there both sides vanish.
 
     The swap of s_i is its placer (words._placer), the cached map
-    w -> w.s_i, which exchanges positions i and i+1 of a word.  The pairs of
+    w -> w.s_i, which exchanges positions i and i+1 of a word; the q - 1
+    swaps of a degree are one cached tuple (_adjacent_swaps).  The pairs of
     M(w.s_i) are compared, term by term in one dict comparison, with the
     pairs of M(w) read through the swap.  The swap is a bijection on words,
     so equal dicts mean equal tensors of degree q, and a missing or zero
@@ -350,13 +375,18 @@ def is_equivariant(colmap, n, q):
                 f"word {w!r} with a degree-{col.degree} column in a degree-{q} map")
         if col._coeffs:
             support.append((w, col._coeffs))
-    for i in range(1, q):
-        swap = _placer(perm_from_cycles([(i, i + 1)], q))
+    for swap in _adjacent_swaps(q):
         for w, coeffs in support:
             image = colmap.get(swap(w))
             if image is None or image._coeffs != {swap(v): c for v, c in coeffs.items()}:
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _adjacent_swaps(q):
+    """The placers of the adjacent transpositions s_1..s_{q-1} of degree q."""
+    return tuple(_placer(perm_from_cycles([(i, i + 1)], q)) for i in range(1, q))
 
 
 def check_equivariance_sweep(n, max_degree):
@@ -435,8 +465,7 @@ def equivariant_basis_bruteforce(n, q):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for i in range(1, q):
-        swap = _placer(perm_from_cycles([(i, i + 1)], q))
+    for swap in _adjacent_swaps(q):
         moved = [index[swap(w)] for w in words]
         for r in range(N):
             mr = moved[r] * N

@@ -7,6 +7,7 @@ is drawn from a seeded generator recorded in the parameters.
 """
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from . import __version__
@@ -127,11 +128,17 @@ def run_spechtwever(n=3, max_degree=5, seed=0):
                        instances)
 
 
+@lru_cache(maxsize=None)
+def _sorted_word_tuple(n, q):
+    """sorted_words(n, q) as one tuple, for random draws."""
+    return tuple(sorted_words(n, q))
+
+
 def _random_schur(n, q, rng):
     """A degree-0 scalar, or the sum of two random basis multiples."""
     if q == 0:
         return SchurElement.scalar(n, rng.randint(-3, 3))
-    us = list(sorted_words(n, q))
+    us = _sorted_word_tuple(n, q)
     pairs = {}
     for _ in range(2):
         u = rng.choice(us)

@@ -12,7 +12,9 @@ holds letter ``sigma^{-1}(t)`` of ``w``.  Two consecutive actions compose as
 
 where ``perm_compose(t, s)`` is ordinary function composition, s applied
 first.  It lives in ``_placer(sigma)``, one itemgetter cached per sigma, and
-every layer moves word positions through it.  All values here are immutable
+every layer moves word positions through it.  ``_placer_onto(w)`` is, once per
+word w, the placer that takes sorted(w) onto w, and ``_placers_onto(u)`` maps
+every rearrangement of a sorted word u to it.  All values here are immutable
 tuples or carry only private state.
 
 Tensors, Lie elements, group-ring elements, Magnus series, equivariant
@@ -214,6 +216,32 @@ def perm_sorting_onto(u, w):
     return tuple([t + 1 for t in sorted(range(len(w)), key=w.__getitem__)])
 
 
+@lru_cache(maxsize=None)
+def _placer_onto(w):
+    """The placer of perm_sorting_onto(sorted(w), w), which takes the sorted
+    rearrangement of w onto w.  Cached per word, so each word is argsorted
+    once per process, and only the words met are held: at most n^q per
+    degree, where a map of every rearrangement would hold q! placers for a
+    single word of q distinct letters.
+
+    >>> _placer_onto((2, 1, 1))((5, 6, 7))
+    (7, 5, 6)
+    """
+    return _placer(perm_sorting_onto(sorted(w), w))
+
+
+@lru_cache(maxsize=None)
+def _placers_onto(u):
+    """Each distinct rearrangement w of the sorted word u -> _placer_onto(w),
+    lexicographic in w, for callers that visit every rearrangement of u.
+    Built once per u; read only, as it is shared.
+
+    >>> _placers_onto((1, 1, 2))[(2, 1, 1)] is _placer_onto((2, 1, 1))
+    True
+    """
+    return {w: _placer_onto(w) for w in rearrangements(u)}
+
+
 def stabilizer_orbit_key(u, w):
     """Canonical form of w under the stabilizer of the weakly increasing u.
 
@@ -371,7 +399,10 @@ class TensorElement(SparseCombination):
         if len(sigma) != self.degree:
             raise DimensionMismatch(
                 f"degree-{self.degree} tensor under permutation of size {len(sigma)}")
-        place = _placer(tuple(sigma))
+        return self._placed(_placer(tuple(sigma)))
+
+    def _placed(self, place):
+        """Each word w moved to place(w), a placer of the tensor's degree."""
         return TensorElement._trusted(
             self.degree, {place(w): c for w, c in self._coeffs.items()})
 

@@ -495,6 +495,14 @@ def test_find_annihilating_schur_against_weight_idempotent(n, max_k):
                     assert schur_act(h, bracket) == isolated
 
 
+def test_find_annihilating_schur_fix_word_off_block_is_a_library_error(monkeypatch):
+    # a fix word outside block_u's rearrangements signals a bug: the lookup in
+    # the block's placer map raises a library error, not a KeyError
+    monkeypatch.setattr(derivations, "sorted_rep", lambda w: (1,) * len(w))
+    with pytest.raises(InternalInvariantError):
+        find_annihilating_schur(3, 1, 2, (2, 3))
+
+
 def test_find_annihilating_schur_rejects_degree_one():
     with pytest.raises(InvalidArgument):
         find_annihilating_schur(3, 1, 2, 1)

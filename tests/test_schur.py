@@ -18,8 +18,9 @@ from schurlie.schur import (EQUIVARIANCE_PAIR_GUARD, SchurElement,
                             equivariant_basis_bruteforce, is_equivariant,
                             letter_substitution, orbit_keys,
                             orbit_data_of_column, orbit_sum,
-                            schur_is_equivariant, _orbit)
-from schurlie.words import (TensorElement, act, perm_from_cycles, perm_inverse,
+                            schur_is_equivariant, _adjacent_swaps, _orbit)
+from schurlie.words import (TensorElement, _placers_onto, act, perm_from_cycles,
+                            perm_inverse, perm_sorting_onto, rearrangements,
                             sorted_words, stabilizer_orbit_key, words_of)
 
 
@@ -583,6 +584,90 @@ def test_apply_word_on_sorted_and_unsorted_words():
             if w == u or f.column(u).is_zero():
                 assert f.apply_word(w) is f.column(u)
         assert 0 < zero < n ** q
+
+
+def _apply_two_pass(f, t):
+    """f(t) by the definition: the sum over the words w of t of c * f(u)
+    moved by the stable argsort of w, u = sorted(w), one tensor per word."""
+    total = TensorElement(t.degree)
+    for w, c in t._coeffs.items():
+        u = tuple(sorted(w))
+        total = total + f.column(u).act(perm_sorting_onto(u, w)).scale(c)
+    return total
+
+
+def test_apply_matches_two_pass_definition():
+    # random elements leave most columns zero, and small coefficients make
+    # terms cancel, so words with a zero column and partial cancellations
+    # both come up; the result must store no zero coefficient
+    rng = random.Random(33)
+    zero_columns = cancelled = 0
+    for n, q, entries in [(1, 0, 1), (2, 1, 2), (2, 3, 3), (3, 3, 2), (2, 5, 3),
+                          (3, 4, 4), (4, 3, 3)] * 4:
+        f = _rand_element(n, q, rng, entries=entries)
+        for _ in range(4):
+            t = TensorElement(q, {tuple(rng.randint(1, n) for _ in range(q)):
+                                  rng.choice([-2, -1, 1, 2]) for _ in range(6)})
+            image = f.apply(t)
+            assert image == _apply_two_pass(f, t)
+            assert 0 not in image._coeffs.values()
+            zero_columns += sum(f.column(sorted(w)).is_zero() for w in t._coeffs)
+            terms = sum(len(f.column(sorted(w))) for w in t._coeffs)
+            cancelled += len(image) < terms
+    assert zero_columns and cancelled
+
+
+def test_apply_sums_that_cancel_to_zero():
+    # f sends x1.x2 and x2.x1 both to x1.x1, so it kills their difference;
+    # at q = 3, two words of one block share image words with opposite signs
+    f = SchurElement(2, 2, {(1, 2): {(1, 1): 1}})
+    t = TensorElement(2, {(1, 2): 1, (2, 1): -1})
+    assert _apply_two_pass(f, t).is_zero()
+    assert f.apply(t).is_zero() and f.apply(t)._coeffs == {}
+    g = SchurElement(2, 3, {(1, 1, 2): {(1, 2, 2): 2}})
+    s = TensorElement(3, {(1, 1, 2): 1, (1, 2, 1): -1, (2, 2, 2): 5})
+    assert g.apply(s) == _apply_two_pass(g, s)
+    s = TensorElement(3, {(1, 2, 1): 1, (2, 1, 1): -1})
+    assert g.apply(s) == _apply_two_pass(g, s) != g.apply(TensorElement(3))
+    h = SchurElement(2, 3, {(1, 1, 2): {(2, 2, 2): 1}})
+    assert h.apply(TensorElement(3, {(1, 1, 2): 1, (1, 2, 1): -1})).is_zero()
+
+
+def test_one_word_does_not_build_its_orbit_placers():
+    # a word of q distinct letters has q! rearrangements; apply_word and
+    # apply place it through its own placer, not a map of its whole orbit
+    q = 8
+    u = tuple(range(1, q + 1))
+    f = SchurElement(q, q, {u: {u: 2}})
+    w = u[::-1]
+    built = _placers_onto.cache_info().misses
+    assert f.apply_word(w) == f.column(u).act(perm_sorting_onto(u, w))
+    assert f.apply(TensorElement(q, {w: 3, u[1:] + u[:1]: -1})) == _apply_two_pass(
+        f, TensorElement(q, {w: 3, u[1:] + u[:1]: -1}))
+    assert _placers_onto.cache_info().misses == built
+
+
+def test_column_map_matches_apply_word_over_rearrangements():
+    rng = random.Random(34)
+    for n, q, entries in [(1, 0, 1), (2, 1, 2), (2, 4, 3), (3, 3, 2), (3, 5, 3),
+                          (4, 3, 4)] * 3:
+        f = _rand_element(n, q, rng, entries=entries)
+        support = {u for u, _ in f._coeffs}
+        expected = {w: f.apply_word(w) for u in support for w in rearrangements(u)}
+        assert f.column_map() == expected
+        for w in expected:
+            u = tuple(sorted(w))
+            assert expected[w] == f.column(u).act(perm_sorting_onto(u, w))
+
+
+def test_adjacent_swaps_exchange_neighbouring_positions():
+    for q in range(6):
+        swaps = _adjacent_swaps(q)
+        assert len(swaps) == max(q - 1, 0)
+        assert _adjacent_swaps(q) is swaps
+        w = tuple(range(10, 10 + q))
+        for i, swap in enumerate(swaps, 1):
+            assert swap(w) == act(w, perm_from_cycles([(i, i + 1)], q))
 
 
 def test_linear_structure():

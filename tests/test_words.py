@@ -4,7 +4,8 @@ from itertools import permutations, product
 import pytest
 
 from schurlie.errors import DimensionMismatch, InvalidArgument
-from schurlie.words import (TensorElement, act, format_perm, multidegree,
+from schurlie.words import (TensorElement, _placer, _placer_onto, _placers_onto,
+                            act, format_perm, multidegree,
                             orbit, perm_compose, perm_from_cycles,
                             perm_inverse, perm_sorting_onto, rearrangements,
                             sorted_rep, sorted_words, stabilizer_orbit_key,
@@ -203,6 +204,35 @@ def test_perm_sorting_onto():
         perm_sorting_onto((1, 2), (1, 1))
     with pytest.raises(InvalidArgument):
         perm_sorting_onto((2, 1), (1, 2))
+
+
+def test_placer_onto_matches_perm_sorting_onto():
+    # each word's placer is the cached placer of its stable argsort; checked
+    # on a word of distinct letters too, where every position tells
+    for n in (1, 2, 3):
+        for q in range(6):
+            probe = tuple(range(10, 10 + q))
+            for w in words_of(n, q):
+                u = sorted_rep(w)
+                sigma = perm_sorting_onto(u, w)
+                place = _placer_onto(w)
+                assert place is _placer(sigma)
+                assert place(u) == w
+                assert place(probe) == act(probe, sigma)
+
+
+def test_placers_onto_map_every_rearrangement():
+    # one entry per distinct rearrangement, lexicographic, each the word's
+    # own placer; the map is built once per sorted word
+    for n in (1, 2, 3):
+        for q in range(6):
+            for u in sorted_words(n, q):
+                placers = _placers_onto(u)
+                assert list(placers) == rearrangements(u)
+                for w, place in placers.items():
+                    assert place is _placer_onto(w)
+                    assert place is _placer(perm_sorting_onto(u, w))
+                assert _placers_onto(u) is placers
 
 
 def test_tensor_arithmetic():
