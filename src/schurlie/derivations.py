@@ -304,26 +304,10 @@ def find_annihilating_schur(n, i, j, u):
     conditions live in different multidegree blocks (they differ by one
     occurrence of x_j versus x_i), so h is taken to vanish outside the sorted
     word block_u of fix = [x_i, u] and the annihilation holds for free.
-
-    The fixing condition is a linear system over the orbit keys of block_u,
-    and it is block-diagonal by multidegree.  The column of a key is the map
-    {block_u: {key: 1}} applied to fix; that image is orbit_sum(block_u, key)
-    moved by place permutations, so it lives on the words of key's
-    multidegree.  The right-hand side -fix lives on the rearrangements of
-    block_u, so every other block has right-hand side 0 and is solved by zero
-    coefficients.  Only block_u's own block is built: its rows are the
-    distinct rearrangements v of block_u, its columns the keys
-    stabilizer_orbit_key(block_u, v) they reach, sorted, and one integer
-    solve over that block does the rest.  That layout, with the column of
-    each v, depends on block_u alone, so it is built once per block and
-    shared by every (i, j, u) whose fix lies there.  The cells are read off
-    one pass over the pairs (x, v), x a word of fix: with sigma the
-    permutation that places block_u onto x, read as its placer from
-    words._placers_onto(block_u), the coefficient of x goes to
-    row v.sigma and column key of v.  This is exact: {block_u: {key: 1}}
-    sends x = block_u.sigma to orbit_sum(block_u, key) moved by sigma, so
-    the words v.sigma of that image are those with v in key's stabilizer
-    orbit, that is, with key of v equal to key.
+    So h is the solution of the fixing condition alone, which depends on
+    (n, i, u) and not on j: _fixing_map solves and checks it once per
+    (n, i, u) in a process, and j enters only the annihilation check, which
+    every call runs on its own chi_ij.
 
     A solution always exists: minus the weight idempotent, {block_u:
     {block_u: -1}}, is -1 on the words of block_u's multidegree and 0 on all
@@ -338,16 +322,46 @@ def find_annihilating_schur(n, i, j, u):
         raise InvalidArgument(f"need a monomial of degree >= 2, got degree {k}")
     if max(monomial_letters(u)) > n:
         raise InvalidArgument(f"letter above rank {n} in {monomial_str(u)}")
+    h = _fixing_map(n, i, u)
+    coeffs = {}
+    _leibniz(coeffs, _embedded_images(chi), embed_monomial(u)._coeffs, 1)
+    annihilate = _tensor(k + 1, coeffs)
+    if not h.apply(annihilate).is_zero():
+        raise InternalInvariantError("annihilation condition violated")
+    return h
+
+
+@lru_cache(maxsize=None)
+def _fixing_map(n, i, u):
+    """The h of find_annihilating_schur: the solution of h(fix) = -fix, fix
+    = [x_i, u], supported on fix's sorted word block_u; solved and checked
+    once per (n, i, u).
+
+    The fixing condition is a linear system over the orbit keys of block_u,
+    and it is block-diagonal by multidegree.  The column of a key is the map
+    {block_u: {key: 1}} applied to fix; that image is orbit_sum(block_u, key)
+    moved by place permutations, so it lives on the words of key's
+    multidegree.  The right-hand side -fix lives on the rearrangements of
+    block_u, so every other block has right-hand side 0 and is solved by zero
+    coefficients.  Only block_u's own block is built: its rows are the
+    distinct rearrangements v of block_u, its columns the keys
+    stabilizer_orbit_key(block_u, v) they reach, sorted, and one integer
+    solve over that block does the rest.  That layout, with the column of
+    each v, depends on block_u alone, so it is built once per block and
+    shared by every (i, u) whose fix lies there.  The cells are read off
+    one pass over the pairs (x, v), x a word of fix: with sigma the
+    permutation that places block_u onto x, read as its placer from
+    words._placers_onto(block_u), the coefficient of x goes to
+    row v.sigma and column key of v.  This is exact: {block_u: {key: 1}}
+    sends x = block_u.sigma to orbit_sum(block_u, key) moved by sigma, so
+    the words v.sigma of that image are those with v in key's stabilizer
+    orbit, that is, with key of v equal to key.
+    """
     t_u = embed_monomial(u)
     x_i = embed_monomial(i)
     fix = tensor_product(x_i, t_u) - tensor_product(t_u, x_i)
     if fix.is_zero():
         raise InvalidArgument("the bracket [x_i, u] vanishes; nothing to fix")
-    q = k + 1
-    coeffs = {}
-    _leibniz(coeffs, _embedded_images(chi), t_u._coeffs, 1)
-    annihilate = _tensor(q, coeffs)
-
     block_u = sorted_rep(next(iter(fix._coeffs)))
     word_list, keys, row_of, cells = _solve_layout(block_u)
     rows = [[0] * len(keys) for _ in word_list]
@@ -364,9 +378,8 @@ def find_annihilating_schur(n, i, j, u):
     if solution is None:
         raise NoSolutionFound(
             f"no integer equivariant map fixes the block of {block_u!r}")
-    h = SchurElement._trusted(n, q, {(block_u, key): c for key, c in zip(keys, solution) if c})
-    if not h.apply(annihilate).is_zero():
-        raise InternalInvariantError("annihilation condition violated")
+    h = SchurElement._trusted(n, fix.degree,
+                              {(block_u, key): c for key, c in zip(keys, solution) if c})
     if h.apply(fix) != -fix:
         raise InternalInvariantError("fixing condition violated")
     return h

@@ -305,16 +305,19 @@ def run_lemma425(n=3, max_degree=3, seed=0):
     solver checks them before it returns), and acting with the solution
     isolates the expected generator derivation."""
     instances = []
+    targets = {}  # (i, tree) -> (u, f_{i,[x_i,u]}), shared by every j
     for key, i, j, tree in _pairs_and_monomials(n, 2, max_degree):
         try:
             h = find_annihilating_schur(n, i, j, tree)
         except SchurlieError as exc:
             instances.append({"key": key, "pass": False, "error": str(exc)})
             continue
-        u = normalize(n, tree)
-        xi_u = lie_bracket(normalize(n, i), u)
+        if (i, tree) not in targets:
+            u = normalize(n, tree)
+            targets[i, tree] = u, generator_derivation(i, lie_bracket(normalize(n, i), u))
+        u, target = targets[i, tree]
         bracket = der_bracket(conjugating_derivation(n, i, j), generator_derivation(j, u))
-        isolated = schur_act(h, bracket) == generator_derivation(i, xi_u)
+        isolated = schur_act(h, bracket) == target
         instances.append({"key": key, "pass": isolated, "support": len(h)})
     return make_report("lemma425", {"n": n, "max_degree": max_degree, "seed": seed},
                        instances)

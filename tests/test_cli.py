@@ -441,6 +441,10 @@ LEMMA425_PINS = {
     # whole block for each Smith pivot and built each block system per call
     "lemma425 --n 2 --max-degree 8":
         "dcfeb78d0ff7b66d996e5f189a237f8bf1a724108a21e5b27accfc19b6d75a5c",
+    # the largest rank-5 solver size, pinned to the solver that solved each
+    # fixing system once per (i, j, u)
+    "lemma425 --n 5 --max-degree 4":
+        "bf94fb65a588cf8bb78f45d22d9555171259cb4ae4df914ef706fea1a3f1c669",
 }
 
 

@@ -440,10 +440,12 @@ def test_find_annihilating_schur_solves_full_system(n, max_k):
 
 
 @pytest.mark.parametrize("n, max_k", [(3, 4), (2, 7), (4, 3), (5, 3)])
-def test_find_annihilating_schur_block_matrix(monkeypatch, n, max_k):
+def test_find_annihilating_schur_block_matrix(monkeypatch, cold_fixing_cache, n, max_k):
     # the stabilizer-key pass builds the same block system, cell for cell, as
-    # applying {block_u: {key: 1}} to fix once per key, with the keys sorted
+    # applying {block_u: {key: 1}} to fix once per key, with the keys sorted;
+    # the system depends on (i, tree) only, so only the first j solves it
     systems = []
+    solved = set()
     solve_integer = derivations.solve_integer
 
     def recording_solve(rows, rhs):
@@ -458,6 +460,10 @@ def test_find_annihilating_schur_block_matrix(monkeypatch, n, max_k):
             for k in range(2, max_k + 1):
                 for tree in lyndon_basis(n, k):
                     find_annihilating_schur(n, i, j, tree)
+                    if (i, tree) in solved:
+                        assert not systems
+                        continue
+                    solved.add((i, tree))
                     fix = embed(lie_bracket(generator(n, i), normalize(n, tree)))
                     block_u = sorted_rep(fix.support()[0])
                     words = rearrangements(block_u)
@@ -495,12 +501,51 @@ def test_find_annihilating_schur_against_weight_idempotent(n, max_k):
                     assert schur_act(h, bracket) == isolated
 
 
-def test_find_annihilating_schur_fix_word_off_block_is_a_library_error(monkeypatch):
+def test_find_annihilating_schur_fix_word_off_block_is_a_library_error(
+        monkeypatch, cold_fixing_cache):
     # a fix word outside block_u's rearrangements signals a bug: the lookup in
     # the block's placer map raises a library error, not a KeyError
     monkeypatch.setattr(derivations, "sorted_rep", lambda w: (1,) * len(w))
     with pytest.raises(InternalInvariantError):
         find_annihilating_schur(3, 1, 2, (2, 3))
+    # the error is not cached: unpatched, the same (n, i, u) solves
+    monkeypatch.undo()
+    assert find_annihilating_schur(3, 1, 2, (2, 3)).items() == [
+        (((1, 2, 3), (1, 2, 3)), -1)]
+
+
+@pytest.mark.parametrize("n, max_k", [(3, 4), (4, 3)])
+def test_find_annihilating_schur_cached_h_matches_a_cold_solve(cold_fixing_cache, n, max_k):
+    # h depends on (n, i, u) only: every h a warm cache returns, for every j,
+    # equals the h solved from a cleared cache
+    instances = [(i, j, tree) for i, j in permutations(range(1, n + 1), 2)
+                 for k in range(2, max_k + 1) for tree in lyndon_basis(n, k)]
+    warm = [find_annihilating_schur(n, *inst) for inst in instances]
+    for inst, h in zip(instances, warm):
+        derivations._fixing_map.cache_clear()
+        assert find_annihilating_schur(n, *inst) == h
+
+
+def test_find_annihilating_schur_hit_runs_its_own_annihilation_check(
+        monkeypatch, cold_fixing_cache):
+    # h for (3, 1, [x2,x3]) is minus the idempotent of the block (1,2,3) and is
+    # shared by j = 2 and j = 3; a wrong chi for j = 3, x2 -> [x2,x1], sends u
+    # into that block, so h does not annihilate it, cache hit or not
+    real = derivations.conjugating_derivation
+
+    def chi(n, i, j):
+        return real(n, 2, 1) if j == 3 else real(n, i, j)
+
+    monkeypatch.setattr(derivations, "conjugating_derivation", chi)
+    h = find_annihilating_schur(3, 1, 2, (2, 3))
+    with pytest.raises(InternalInvariantError, match="annihilation condition violated"):
+        find_annihilating_schur(3, 1, 3, (2, 3))
+    assert find_annihilating_schur(3, 1, 2, (2, 3)) is h
+    derivations._fixing_map.cache_clear()
+    with pytest.raises(InternalInvariantError, match="annihilation condition violated"):
+        find_annihilating_schur(3, 1, 3, (2, 3))
+    assert find_annihilating_schur(3, 1, 2, (2, 3)) == h
+    assert derivations._fixing_map.cache_info().misses == 1
 
 
 def test_find_annihilating_schur_rejects_degree_one():

@@ -408,7 +408,8 @@ def test_smith_matches_kept_oracle_on_random_bordered_input():
 
 
 @pytest.mark.parametrize("n, max_degree", [(2, 8), (3, 5), (4, 4), (5, 3)])
-def test_smith_matches_kept_oracle_on_lemma425_systems(monkeypatch, n, max_degree):
+def test_smith_matches_kept_oracle_on_lemma425_systems(
+        monkeypatch, cold_fixing_cache, n, max_degree):
     # every block system that the lemma425 suite solves at this size
     systems = []
 

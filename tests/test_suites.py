@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from schurlie import suites
+from schurlie import derivations, suites
 from schurlie.errors import InternalInvariantError, InvalidArgument
 from schurlie.suites import SUITES, make_report
 
@@ -58,6 +58,22 @@ def test_star_laws_refuses_max_degree_below_three(max_degree):
 def test_generation_refuses_unknown_generator_set():
     with pytest.raises(InvalidArgument, match="unknown generator set 'delta'"):
         SUITES["generation"](n=2, max_degree=3, generators="delta")
+
+
+def test_lemma425_solves_each_fixing_system_once_per_i_and_u(monkeypatch, cold_fixing_cache):
+    # the fixing system does not depend on j: 66 instances at (3, 3), one
+    # solve per (i, u), 3 * 11 in all
+    solve_integer = derivations.solve_integer
+    systems = []
+
+    def recording_solve(rows, rhs):
+        systems.append((rows, rhs))
+        return solve_integer(rows, rhs)
+
+    monkeypatch.setattr(derivations, "solve_integer", recording_solve)
+    report = SUITES["lemma425"](n=3, max_degree=3)
+    assert report["ok"] and report["passed"] == 66
+    assert len(systems) == 33
 
 
 def test_lemma425_reports_a_failed_solver_check(monkeypatch):
