@@ -83,8 +83,7 @@ from .freelie import (LieElement, decompose, embed, embed_monomial,
 from .linalg import IntegerLattice, smith_normal_form, solve_integer
 from .schur import SchurElement, basis_dimension_formula
 from .words import (SparseCombination, TensorElement, _placers_onto,
-                    rearrangements, sorted_rep, stabilizer_orbit_key,
-                    tensor_product)
+                    rearrangements, sorted_rep, stabilizer_orbit_key)
 
 # the closure's refusal bound on the endomorphism basis size of a degree; it
 # counts nothing the engine builds, and stands in for a bound on real cost
@@ -357,9 +356,7 @@ def _fixing_map(n, i, u):
     the words v.sigma of that image are those with v in key's stabilizer
     orbit, that is, with key of v equal to key.
     """
-    t_u = embed_monomial(u)
-    x_i = embed_monomial(i)
-    fix = tensor_product(x_i, t_u) - tensor_product(t_u, x_i)
+    fix = embed_monomial((i, u))
     if fix.is_zero():
         raise InvalidArgument("the bracket [x_i, u] vanishes; nothing to fix")
     block_u = sorted_rep(next(iter(fix._coeffs)))

@@ -314,7 +314,7 @@ def run_lemma425(n=3, max_degree=3, seed=0):
             continue
         if (i, tree) not in targets:
             u = normalize(n, tree)
-            targets[i, tree] = u, generator_derivation(i, lie_bracket(normalize(n, i), u))
+            targets[i, tree] = u, generator_derivation(i, normalize(n, (i, tree)))
         u, target = targets[i, tree]
         bracket = der_bracket(conjugating_derivation(n, i, j), generator_derivation(j, u))
         isolated = schur_act(h, bracket) == target

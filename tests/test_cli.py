@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from schurlie import schur
-from schurlie.cli import main
+from schurlie.cli import _parser, main
 from schurlie.errors import (DimensionMismatch, IndexOutOfRange,
                              InvalidArgument, ParseError)
 from schurlie.freelie import LEAF, generator, lie_bracket
@@ -246,6 +247,103 @@ def test_cli_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+def _action_shape(action):
+    choices = action.choices
+    if isinstance(choices, dict):  # the subcommands' parsers, by name
+        choices = list(choices)
+    return (" ".join(action.option_strings) or action.dest, action.help,
+            action.default, action.required, choices, action.nargs,
+            getattr(action.type, "__name__", action.type))
+
+
+_HELP = ("-h --help", "show this help message and exit", "==SUPPRESS==", False,
+         None, 0, None)
+_JSON = ("--json", None, False, False, None, 0, None)
+_SUITES = ["dimension", "equivariance", "generation", "johnson", "lemma425",
+           "mccool", "operad", "pairs", "prop422", "spechtwever", "star-laws"]
+
+# per action, in declaration order: option strings (or the dest of a
+# positional), help, default, required, choices, nargs and type
+PARSER_SHAPE = {
+    "schurlie": [
+        _HELP,
+        ("--version", "show program's version number and exit", "==SUPPRESS==",
+         False, None, 0, None),
+        ("command", None, None, True,
+         ["normalize", "embed", "brq", "schur-basis", "schur-apply", "star",
+          "transfer", "magnus", "operad-compose", "der-bracket", "phi",
+          "classify", "verify"], "A...", None)],
+    "normalize": [_HELP, ("expression", None, None, True, None, None, None),
+                  ("--n", None, None, False, None, None, "int"), _JSON],
+    "embed": [_HELP, ("expression", None, None, True, None, None, None),
+              ("--n", None, None, False, None, None, "int"), _JSON],
+    "brq": [_HELP, ("--shape", None, None, True, None, None, None), _JSON],
+    "schur-basis": [_HELP, ("--n", None, None, True, None, None, "int"),
+                    ("--q", None, None, True, None, None, "int"), _JSON],
+    "schur-apply": [_HELP,
+                    ("--element", "path or inline JSON", None, True, None, None, None),
+                    ("--input", None, None, True, None, None, None), _JSON],
+    "star": [_HELP, ("--left", None, None, True, None, None, None),
+             ("--right", None, None, True, None, None, None)],
+    "transfer": [_HELP,
+                 ("--parts", "composition, e.g. 2,1", None, True, None, None, None),
+                 ("--factors", "paths or inline JSON documents, one per part",
+                  None, True, None, "+", None)],
+    "magnus": [_HELP, ("word", "e.g. 'x1 x2^-1 x1'", None, True, None, None, None),
+               ("--degree", None, 3, False, None, None, "int"), _JSON],
+    "operad-compose": [_HELP, ("--theta", None, None, True, None, None, None),
+                       ("--args", "paths or inline JSON documents, one per operation",
+                        None, True, None, "+", None)],
+    "der-bracket": [_HELP, ("--n", None, None, True, None, None, "int"),
+                    ("--left", "semicolon-separated images", None, True, None,
+                     None, None),
+                    ("--right", None, None, True, None, None, None), _JSON],
+    "phi": [_HELP, ("--element", None, None, True, None, None, None),
+            ("--n", None, None, True, None, None, "int"),
+            ("--images", "semicolon-separated images", None, True, None, None, None),
+            _JSON],
+    "classify": [_HELP, ("--pair", "i,j:i',j'", None, True, None, None, None),
+                 ("--n", None, 3, False, None, None, "int"),
+                 ("--depth", None, 3, False, None, None, "int"), _JSON],
+    "verify": [_HELP, ("suite", None, None, True, _SUITES, None, None),
+               ("--n", None, None, False, None, None, "int"),
+               ("--max-degree", None, None, False, None, None, "int"),
+               ("--seed", None, 0, False, None, None, "int"),
+               ("--depth", None, None, False, None, None, "int"),
+               ("--generators", None, None, False, ["mtilde", "gamma"], None, None),
+               _JSON],
+}
+
+SUBCOMMAND_HELP = [
+    ("normalize", "Lyndon coordinates of a Lie expression"),
+    ("embed", "tensor expansion of an expression"),
+    ("brq", "group-ring expansion of a bracket shape"),
+    ("schur-basis", "orbit-data basis of a degree"),
+    ("schur-apply", "apply an element to a tensor expression"),
+    ("star", "cross-degree product of two elements"),
+    ("transfer", "transversal-summed blockwise product"),
+    ("magnus", "truncated expansion of a group word"),
+    ("operad-compose", "operadic composition"),
+    ("der-bracket", "bracket of two derivations"),
+    ("phi", "act on a derivation by an element"),
+    ("classify", "classify a pair of conjugating automorphisms"),
+    ("verify", "run a packaged verification suite"),
+]
+
+
+def test_cli_parser_shape_pin():
+    # read from the actions, not from format_help(), so that the pin holds
+    # whatever argparse's help formatter does; argument order is part of the
+    # shape, since usage and help list arguments in declaration order
+    parser = _parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    shapes = {"schurlie": [_action_shape(a) for a in parser._actions]}
+    for name, subparser in sub.choices.items():
+        shapes[name] = [_action_shape(a) for a in subparser._actions]
+    assert shapes == PARSER_SHAPE
+    assert [(a.dest, a.help) for a in sub._choices_actions] == SUBCOMMAND_HELP
 
 
 def test_cli_main_calls_do_not_share_flags(capsys):
