@@ -2,15 +2,18 @@
 subparser with set_defaults(run=handler) and called by main.
 
 Exit codes: 0 when everything requested passed, 1 when a verification suite
-reports failures, 2 on usage or input errors.  With --json the output is a
-canonical (sorted-keys) document and is byte-identical across runs for the
-same flags and seed; timing is shown only in the human-readable form.
+reports failures, 2 on usage or input errors, 141 (128 + SIGPIPE) when the
+reader closes stdout before the output is written, which ends the run
+without a traceback.  With --json the output is a canonical (sorted-keys)
+document and is byte-identical across runs for the same flags and seed;
+timing is shown only in the human-readable form.
 star, transfer and operad-compose always print their element as JSON, so
 they take no --json flag.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import lru_cache
@@ -313,10 +316,19 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         _check_minimums(args)
-        return args.run(args) or 0
+        status = args.run(args) or 0
+        # a short output sits in the buffer until flushed: flush it here, so
+        # a closed stdout raises below and not at interpreter exit
+        sys.stdout.flush()
+        return status
     except SchurlieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def _check_minimums(args):

@@ -82,7 +82,7 @@ from .freelie import (LieElement, decompose, embed, embed_monomial,
                       normalize, zero_lie)
 from .linalg import IntegerLattice, smith_normal_form, solve_integer
 from .schur import SchurElement, basis_dimension_formula
-from .words import (SparseCombination, TensorElement, _placers_onto,
+from .words import (SparseCombination, TensorElement, _placer_onto,
                     rearrangements, sorted_rep, stabilizer_orbit_key)
 
 # the closure's refusal bound on the endomorphism basis size of a degree; it
@@ -349,9 +349,9 @@ def _fixing_map(n, i, u):
     each v, depends on block_u alone, so it is built once per block and
     shared by every (i, u) whose fix lies there.  The cells are read off
     one pass over the pairs (x, v), x a word of fix: with sigma the
-    permutation that places block_u onto x, read as its placer from
-    words._placers_onto(block_u), the coefficient of x goes to
-    row v.sigma and column key of v.  This is exact: {block_u: {key: 1}}
+    permutation that places block_u onto x, read as x's own placer
+    words._placer_onto(x), the coefficient of x goes to row v.sigma and
+    column key of v.  This is exact: {block_u: {key: 1}}
     sends x = block_u.sigma to orbit_sum(block_u, key) moved by sigma, so
     the words v.sigma of that image are those with v in key's stabilizer
     orbit, that is, with key of v equal to key.
@@ -360,18 +360,16 @@ def _fixing_map(n, i, u):
     if fix.is_zero():
         raise InvalidArgument("the bracket [x_i, u] vanishes; nothing to fix")
     block_u = sorted_rep(next(iter(fix._coeffs)))
-    word_list, keys, row_of, cells = _solve_layout(block_u)
-    rows = [[0] * len(keys) for _ in word_list]
-    placers = _placers_onto(block_u)
+    keys, cells = _solve_layout(block_u)
+    rows = {v: [0] * len(keys) for v, _ in cells}
     for x, c in fix._coeffs.items():
-        place = placers.get(x)
-        if place is None:
+        if x not in rows:
             raise InternalInvariantError(
                 f"fix word {x!r} is not a rearrangement of {block_u!r}")
+        place = _placer_onto(x)
         for v, col in cells:
-            rows[row_of[place(v)]][col] += c
-    rhs = [-fix.coeff(w) for w in word_list]
-    solution = solve_integer(rows, rhs)
+            rows[place(v)][col] += c
+    solution = solve_integer(list(rows.values()), [-fix.coeff(w) for w in rows])
     if solution is None:
         raise NoSolutionFound(
             f"no integer equivariant map fixes the block of {block_u!r}")
@@ -384,16 +382,14 @@ def _fixing_map(n, i, u):
 
 @lru_cache(maxsize=None)
 def _solve_layout(block_u):
-    """The block system's layout for the sorted word block_u: its rows, the
-    rearrangements of block_u; its columns, their stabilizer orbit keys,
-    sorted; the row of each rearrangement; and the cells (v, column of v's
-    key), one per rearrangement v."""
-    word_list = rearrangements(block_u)
-    key_of = {v: stabilizer_orbit_key(block_u, v) for v in word_list}
+    """The block system's layout for the sorted word block_u: its columns,
+    the stabilizer orbit keys of the rearrangements of block_u, sorted; and
+    the cells (v, column of v's key), one per rearrangement v, in
+    rearrangements(block_u) order, which is the order of the rows."""
+    key_of = {v: stabilizer_orbit_key(block_u, v) for v in rearrangements(block_u)}
     keys = sorted(set(key_of.values()))
     col_of = {key: c for c, key in enumerate(keys)}
-    row_of = {w: r for r, w in enumerate(word_list)}
-    return word_list, keys, row_of, [(v, col_of[key]) for v, key in key_of.items()]
+    return keys, [(v, col_of[key]) for v, key in key_of.items()]
 
 
 # ---------------------------------------------------------------------------

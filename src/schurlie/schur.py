@@ -21,12 +21,11 @@ A word w = u.sigma, u = sorted(w) and sigma the stable argsort of w, takes
 f(w) = f(u).sigma through the placer words._placer_onto(w), cached per word,
 so no word is argsorted twice in a process.  apply_word and apply read it
 word by word: a single word does not build the placers of its whole orbit,
-which are q! for q distinct letters.  column_map and the annihilate-and-fix
-solve of derivations visit every rearrangement of a sorted word u, and read
-them from words._placers_onto(u), one map per u.  No tensor is built per
-word: apply adds c * f(u).sigma for each word of its input into one dict,
-and column_map places each column of the support onto each of its
-rearrangements in one pass over that column's map.
+which are q! for q distinct letters.  column_map visits every rearrangement
+of a sorted word u, and reads their placers from words._placers_onto(u), one
+map per u.  No tensor is built per word: apply adds c * f(u).sigma for each
+word of its input into one dict, and column_map places each column of the
+support onto each of its rearrangements in one pass over that column's map.
 
 Word-by-word column maps are built only for equivariance checks, over the
 support of an element; the brute-force dimension oracle alone scans all n^q

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -923,6 +924,25 @@ def test_python_dash_m_schurlie_runs_the_cli(capsys):
     assert run.returncode == 0, run.stderr
     assert run.stdout == expected
     assert json.loads(run.stdout)["ok"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "johnson", "--n", "3", "--json"],
+                                  ["normalize", "[x2,x1]"]])
+def test_cli_closed_stdout_exits_141_without_a_traceback(argv):
+    # the read end of the child's stdout is closed before the child starts,
+    # so its first write to stdout meets a broken pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "schurlie", *argv],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True,
+                             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert run.returncode == 141, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "Exception ignored" not in run.stderr
 
 
 def test_cli_json_identical_across_processes():

@@ -24,9 +24,9 @@ from schurlie.linalg import IntegerLattice
 from schurlie.schur import (SchurElement, apply_to_lie, basis,
                             basis_dimension_formula, letter_substitution,
                             orbit_keys, schur_is_equivariant)
-from schurlie.words import (TensorElement, multidegree, rearrangements,
-                            sorted_rep, sorted_words, stabilizer_orbit_key,
-                            words_of)
+from schurlie.words import (TensorElement, _placer_onto, _placers_onto,
+                            multidegree, rearrangements, sorted_rep,
+                            sorted_words, stabilizer_orbit_key, words_of)
 
 
 def _random_lie(rng, n, p, terms=2):
@@ -503,15 +503,28 @@ def test_find_annihilating_schur_against_weight_idempotent(n, max_k):
 
 def test_find_annihilating_schur_fix_word_off_block_is_a_library_error(
         monkeypatch, cold_fixing_cache):
-    # a fix word outside block_u's rearrangements signals a bug: the lookup in
-    # the block's placer map raises a library error, not a KeyError
+    # a fix word outside block_u's rearrangements signals a bug: the check
+    # that the word has a row of the block system raises a library error,
+    # not a KeyError
     monkeypatch.setattr(derivations, "sorted_rep", lambda w: (1,) * len(w))
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match="is not a rearrangement"):
         find_annihilating_schur(3, 1, 2, (2, 3))
     # the error is not cached: unpatched, the same (n, i, u) solves
     monkeypatch.undo()
     assert find_annihilating_schur(3, 1, 2, (2, 3)).items() == [
         (((1, 2, 3), (1, 2, 3)), -1)]
+
+
+def test_fixing_map_places_only_the_words_of_fix(cold_fixing_cache):
+    # the block system is filled through the placer of each word of fix, so
+    # a cold solve builds one placer per word of fix at most, and no map of
+    # every rearrangement of the block: [x1,[x2,[x3,x4]]] has 8 words, and
+    # its block (1,2,3,4) has 24 rearrangements
+    _placer_onto.cache_clear()
+    _placers_onto.cache_clear()
+    derivations._fixing_map(4, 1, (2, (3, 4)))
+    assert _placer_onto.cache_info().currsize <= 8
+    assert _placers_onto.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n, max_k", [(3, 4), (4, 3)])
